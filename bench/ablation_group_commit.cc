@@ -13,8 +13,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -43,8 +43,7 @@ void SpawnWorker(Kernel& kernel, Enclave& enclave, int index) {
 }
 
 double Run(bench::Run& run, int max_group) {
-  Machine m(Topology::IntelSkylake112(), CostModel(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::IntelSkylake112(), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(kCpus));
   CentralizedFifoPolicy::Options options;

@@ -16,8 +16,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/vm_core_sched.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/vm_workload.h"
 
 namespace gs {
@@ -34,8 +34,8 @@ Result Run(bench::Run& run, bool tickless) {
   CostModel cost;
   cost.smt_contention_factor = 0.88;
   cost.tick_cost = Microseconds(4);  // VM-exit + cache pollution + re-entry
-  Machine m(Topology::Make("vmhost-24", 1, 12, 2, 12), cost,
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::Make("vmhost-24", 1, 12, 2, 12), .cost = cost,
+                       .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   VmWorkload vms(&m.kernel(),

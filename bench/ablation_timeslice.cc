@@ -12,8 +12,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 
 namespace gs {
@@ -48,7 +48,7 @@ Result Run(bench::Run& run, Duration timeslice) {
   CostModel cost;
   cost.smt_contention_factor = 1.0;
   cost.agent_smt_contention_factor = 1.0;
-  Machine m(Topology::IntelE5_24(), cost, /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::IntelE5_24(), .cost = cost, .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   CpuMask enclave_cpus = ServerCpus();
   enclave_cpus.Set(1);

@@ -20,8 +20,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -79,7 +79,7 @@ void SpawnWorker(Kernel& kernel, Enclave& enclave, int index) {
 }
 
 double RunPoint(bench::Run& run, const Topology& topo, int num_cpus) {
-  Machine m(topo, CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = topo, .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   const int agent_cpu = 0;
   const std::vector<int> order = FillOrder(m.kernel().topology(), agent_cpu);

@@ -5,10 +5,8 @@
 //   6b: same with a co-located batch app.
 //   6c: the batch app's attained CPU share vs offered load.
 //
-// Machine: one socket of a 2-socket Xeon E5-2658 (12 cores / 24 CPUs), as in
-// the paper. Workload: open-loop Poisson; 99.5% of requests ~10 us (6 us
-// RocksDB GET + 4 us processing), 0.5% take 10 ms; 30 us preemption
-// timeslice for the preemptive systems.
+// Machine and workload: bench/fig6_experiment.h; 30 us preemption timeslice for
+// the preemptive systems.
 //
 // Expected shape (paper): Shinjuku best; ghOSt-Shinjuku within ~5% of its
 // saturation throughput with slightly higher tails at high load;
@@ -19,69 +17,31 @@
 #include <memory>
 #include <set>
 
+#include "bench/fig6_experiment.h"
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
 #include "src/baselines/shinjuku_dataplane.h"
-#include "src/ghost/machine.h"
 #include "src/policies/factory.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/batch.h"
 #include "src/workloads/request_service.h"
 
 namespace gs {
 namespace {
 
-constexpr Duration kShort = Microseconds(10);  // 6 us GET + 4 us processing
-constexpr Duration kLong = Milliseconds(10);
-constexpr double kPLong = 0.005;
+using fig6::Result;
+using fig6::ServerCpus;
+
 constexpr Duration kTimeslice = Microseconds(30);
-constexpr int kNumWorkers = 200;
 constexpr int kBatchThreads = 10;
 
 // Sweep sizing: --scale=paper is the full Fig 6 sweep; --scale=quick is the
 // CI smoke configuration (two load points, shorter windows).
-Duration kWarmup = Milliseconds(100);
-Duration kMeasure = Milliseconds(900);
-
-// CPU plan on the 24-CPU socket: core 0 (CPUs 0,12) belongs to the load
-// generator. The agent/dispatcher takes core 1 (CPUs 1,13); request
-// processing gets the remaining 20 hyperthread CPUs.
-CpuMask ServerCpus() {
-  CpuMask mask;
-  for (int cpu = 2; cpu <= 11; ++cpu) {
-    mask.Set(cpu);
-  }
-  for (int cpu = 14; cpu <= 23; ++cpu) {
-    mask.Set(cpu);
-  }
-  return mask;
-}
-
-struct Result {
-  double offered_kqps = 0;
-  double achieved_kqps = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-  double batch_share = 0;
-};
-
-CostModel Fig6Cost() {
-  CostModel cost;
-  // The paper's service times were measured end-to-end on the SMT machine;
-  // fold SMT effects into the service times rather than double-counting.
-  cost.smt_contention_factor = 1.0;
-  cost.agent_smt_contention_factor = 1.0;
-  return cost;
-}
-
-Machine MakeMachine(bench::Run& run) {
-  return Machine(Topology::IntelE5_24(), Fig6Cost(), /*with_core_sched=*/false,
-                 &run.stats());
-}
+fig6::Windows windows;
 
 Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m(fig6::MachineOptions(run));
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   CpuMask enclave_cpus = ServerCpus();
   enclave_cpus.Set(1);  // global agent home
@@ -105,7 +65,7 @@ Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t 
                        MakeScenarioPolicy(spec, env));
   process.Start();
 
-  ThreadPoolServer server(&m.kernel(), {.num_workers = kNumWorkers});
+  ThreadPoolServer server(&m.kernel(), {.num_workers = fig6::kNumWorkers});
   for (Task* worker : server.workers()) {
     enclave->AddTask(worker);
   }
@@ -115,41 +75,16 @@ Result RunGhost(bench::Run& run, double offered_kqps, bool with_batch, uint64_t 
     }
     batch.Start();
   }
-
-  BimodalServiceModel model(kShort, kLong, kPLong);
-  PoissonLoadGen gen(&m.loop(), &model, offered_kqps * 1e3, seed,
-                     [&server](Time t, Duration s) { server.Submit(t, s); });
-  gen.Start(kWarmup + kMeasure);
-
-  int64_t completed_at_warmup = 0;
-  m.loop().ScheduleAt(kWarmup, [&] {
-    server.latency().Reset();
-    completed_at_warmup = server.completed();
-    batch.MarkWindow();
-  });
-  m.RunFor(kWarmup + kMeasure + Milliseconds(50));
-
-  Result r;
-  r.offered_kqps = offered_kqps;
-  r.achieved_kqps =
-      static_cast<double>(server.completed() - completed_at_warmup) /
-      ToSeconds(kMeasure + Milliseconds(50)) / 1e3;
-  r.p50_us = server.latency().PercentileUs(50);
-  r.p99_us = server.latency().PercentileUs(99);
-  r.p999_us = server.latency().PercentileUs(99.9);
-  r.batch_share = with_batch
-                      ? batch.CpuShare(kWarmup, m.now(), m.kernel().topology().num_cpus())
-                      : 0;
-  return r;
+  return fig6::Drive(m, server, windows, offered_kqps, seed, with_batch ? &batch : nullptr);
 }
 
 Result RunCfs(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m(fig6::MachineOptions(run));
   CpuMask worker_cpus = ServerCpus();
   worker_cpus.Set(1);
   worker_cpus.Set(13);
 
-  ThreadPoolServer server(&m.kernel(), {.num_workers = kNumWorkers});
+  ThreadPoolServer server(&m.kernel(), {.num_workers = fig6::kNumWorkers});
   for (Task* worker : server.workers()) {
     m.kernel().SetAffinity(worker, worker_cpus);
     m.kernel().SetNice(worker, -20);  // the paper's CFS co-location setup
@@ -162,36 +97,11 @@ Result RunCfs(bench::Run& run, double offered_kqps, bool with_batch, uint64_t se
     }
     batch.Start();
   }
-
-  BimodalServiceModel model(kShort, kLong, kPLong);
-  PoissonLoadGen gen(&m.loop(), &model, offered_kqps * 1e3, seed,
-                     [&server](Time t, Duration s) { server.Submit(t, s); });
-  gen.Start(kWarmup + kMeasure);
-
-  int64_t completed_at_warmup = 0;
-  m.loop().ScheduleAt(kWarmup, [&] {
-    server.latency().Reset();
-    completed_at_warmup = server.completed();
-    batch.MarkWindow();
-  });
-  m.RunFor(kWarmup + kMeasure + Milliseconds(50));
-
-  Result r;
-  r.offered_kqps = offered_kqps;
-  r.achieved_kqps =
-      static_cast<double>(server.completed() - completed_at_warmup) /
-      ToSeconds(kMeasure + Milliseconds(50)) / 1e3;
-  r.p50_us = server.latency().PercentileUs(50);
-  r.p99_us = server.latency().PercentileUs(99);
-  r.p999_us = server.latency().PercentileUs(99.9);
-  r.batch_share = with_batch
-                      ? batch.CpuShare(kWarmup, m.now(), m.kernel().topology().num_cpus())
-                      : 0;
-  return r;
+  return fig6::Drive(m, server, windows, offered_kqps, seed, with_batch ? &batch : nullptr);
 }
 
 Result RunShinjuku(bench::Run& run, double offered_kqps, bool with_batch, uint64_t seed) {
-  Machine m = MakeMachine(run);
+  SimulationContext m(fig6::MachineOptions(run));
   ShinjukuDataplane::Options options;
   const CpuMask workers = ServerCpus();
   for (int cpu = workers.First(); cpu >= 0; cpu = workers.NextAfter(cpu)) {
@@ -212,32 +122,8 @@ Result RunShinjuku(bench::Run& run, double offered_kqps, bool with_batch, uint64
     }
     batch.Start();
   }
-
-  BimodalServiceModel model(kShort, kLong, kPLong);
-  PoissonLoadGen gen(&m.loop(), &model, offered_kqps * 1e3, seed,
-                     [&dataplane](Time t, Duration s) { dataplane.Submit(t, s); });
-  gen.Start(kWarmup + kMeasure);
-
-  int64_t completed_at_warmup = 0;
-  m.loop().ScheduleAt(kWarmup, [&] {
-    dataplane.latency().Reset();
-    completed_at_warmup = dataplane.completed();
-    batch.MarkWindow();
-  });
-  m.RunFor(kWarmup + kMeasure + Milliseconds(50));
-
-  Result r;
-  r.offered_kqps = offered_kqps;
-  r.achieved_kqps =
-      static_cast<double>(dataplane.completed() - completed_at_warmup) /
-      ToSeconds(kMeasure + Milliseconds(50)) / 1e3;
-  r.p50_us = dataplane.latency().PercentileUs(50);
-  r.p99_us = dataplane.latency().PercentileUs(99);
-  r.p999_us = dataplane.latency().PercentileUs(99.9);
-  r.batch_share = with_batch
-                      ? batch.CpuShare(kWarmup, m.now(), m.kernel().topology().num_cpus())
-                      : 0;
-  return r;
+  return fig6::Drive(m, dataplane, windows, offered_kqps, seed,
+                     with_batch ? &batch : nullptr);
 }
 
 void PrintHeader(const char* title) {
@@ -255,6 +141,7 @@ void PrintRow(const char* system, const Result& r) {
 
 void Record(bench::Run& run, const char* system, bool with_batch, const Result& r) {
   PrintRow(system, r);
+  fig6::CheckThroughput(system, r);
   run.AddRow()
       .Set("system", system)
       .Set("with_batch", with_batch)
@@ -285,24 +172,20 @@ void RunSweep(bench::Run& run, bool with_batch) {
 
 int main(int argc, char** argv) {
   gs::bench::Harness harness("fig6_shinjuku", argc, argv);
-  if (harness.quick()) {
-    // CI smoke sizing: fewer load points, shorter windows.
-    gs::kWarmup = gs::Milliseconds(50);
-    gs::kMeasure = gs::Milliseconds(200);
-  }
+  gs::windows = gs::fig6::WindowsFor(harness.quick());
   harness.Param("timeslice_us", static_cast<int64_t>(gs::kTimeslice / 1000));
-  harness.Param("num_workers", gs::kNumWorkers);
+  harness.Param("num_workers", gs::fig6::kNumWorkers);
   harness.Param("batch_threads", gs::kBatchThreads);
-  harness.Param("warmup_ms", static_cast<int64_t>(gs::kWarmup / 1000000));
-  harness.Param("measure_ms", static_cast<int64_t>(gs::kMeasure / 1000000));
+  harness.Param("warmup_ms", static_cast<int64_t>(gs::windows.warmup / 1000000));
+  harness.Param("measure_ms", static_cast<int64_t>(gs::windows.measure / 1000000));
 
   std::printf("Fig 6 reproduction: Shinjuku-style dispersive workload on 24-CPU socket\n");
   std::printf("workload: 99.5%% x %lld us + 0.5%% x %lld ms, 30 us timeslice, 200 workers\n",
-              static_cast<long long>(gs::kShort / 1000),
-              static_cast<long long>(gs::kLong / 1000000));
+              static_cast<long long>(gs::fig6::kShort / 1000),
+              static_cast<long long>(gs::fig6::kLong / 1000000));
   harness.RunAll(1000, [](gs::bench::Run& run) {
     gs::RunSweep(run, /*with_batch=*/false);
     gs::RunSweep(run, /*with_batch=*/true);
   });
-  return harness.Finish();
+  return gs::fig6::ExitCode(harness.Finish());
 }

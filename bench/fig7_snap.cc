@@ -15,8 +15,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/batch.h"
 #include "src/workloads/snap.h"
 
@@ -49,7 +49,7 @@ struct RunResult {
 };
 
 RunResult RunMicroQuanta(bench::Run& run, bool loaded, uint64_t seed) {
-  Machine m(SnapTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = SnapTopo(), .stats = &run.stats()});
   SnapSystem snap(&m.kernel(), {.seed = seed});
   for (Task* engine : snap.engine_threads()) {
     m.kernel().SetSchedClass(engine, m.mq_class());
@@ -66,7 +66,7 @@ RunResult RunMicroQuanta(bench::Run& run, bool loaded, uint64_t seed) {
 }
 
 RunResult RunGhost(bench::Run& run, bool loaded, uint64_t seed) {
-  Machine m(SnapTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = SnapTopo(), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   SnapSystem snap(&m.kernel(), {.seed = seed});

@@ -22,15 +22,16 @@
 #include <memory>
 #include <string>
 
+#include "bench/fig6_experiment.h"
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/factory.h"
 #include "src/policies/predictive_shinjuku.h"
 #include "src/policies/search.h"
 #include "src/scenario/scenario.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 #include "src/workloads/search_workload.h"
 
@@ -38,42 +39,12 @@ namespace gs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Part 1: Fig 6 bimodal request workload, probe vs predictive Shinjuku.
-// Same machine/workload constants as fig6_shinjuku.cc.
-constexpr Duration kShort = Microseconds(10);
-constexpr Duration kLong = Milliseconds(10);
-constexpr double kPLong = 0.005;
-constexpr int kNumWorkers = 200;
+// Part 1: Fig 6 bimodal request workload, probe vs predictive Shinjuku, on
+// the machine and workload of bench/fig6_experiment.h.
+using fig6::Result;
 
-Duration kWarmup = Milliseconds(100);
-Duration kMeasure = Milliseconds(900);
+fig6::Windows windows;
 Duration kSearchRun = Seconds(30);
-
-CpuMask ServerCpus() {
-  CpuMask mask;
-  for (int cpu = 2; cpu <= 11; ++cpu) {
-    mask.Set(cpu);
-  }
-  for (int cpu = 14; cpu <= 23; ++cpu) {
-    mask.Set(cpu);
-  }
-  return mask;
-}
-
-CostModel Fig6Cost() {
-  CostModel cost;
-  cost.smt_contention_factor = 1.0;
-  cost.agent_smt_contention_factor = 1.0;
-  return cost;
-}
-
-struct Result {
-  double offered_kqps = 0;
-  double achieved_kqps = 0;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-};
 
 // One Fig 6 run under the factory-built policy for `spec`. The policy is
 // owned by the in-run AgentProcess, so `scrape` (may be null) is invoked
@@ -81,10 +52,9 @@ struct Result {
 Result RunFig6(bench::Run& run, const scenario::PolicySpec& spec,
                double offered_kqps, uint64_t seed,
                const std::function<void(const Policy&)>& scrape) {
-  Machine m(Topology::IntelE5_24(), Fig6Cost(), /*with_core_sched=*/false,
-            &run.stats());
+  SimulationContext m(fig6::MachineOptions(run));
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
-  CpuMask enclave_cpus = ServerCpus();
+  CpuMask enclave_cpus = fig6::ServerCpus();
   enclave_cpus.Set(1);  // global agent home
   auto enclave = m.CreateEnclave(enclave_cpus);
 
@@ -96,31 +66,11 @@ Result RunFig6(bench::Run& run, const scenario::PolicySpec& spec,
                        std::move(policy));
   process.Start();
 
-  ThreadPoolServer server(&m.kernel(), {.num_workers = kNumWorkers});
+  ThreadPoolServer server(&m.kernel(), {.num_workers = fig6::kNumWorkers});
   for (Task* worker : server.workers()) {
     enclave->AddTask(worker);
   }
-
-  BimodalServiceModel model(kShort, kLong, kPLong);
-  PoissonLoadGen gen(&m.loop(), &model, offered_kqps * 1e3, seed,
-                     [&server](Time t, Duration s) { server.Submit(t, s); });
-  gen.Start(kWarmup + kMeasure);
-
-  int64_t completed_at_warmup = 0;
-  m.loop().ScheduleAt(kWarmup, [&] {
-    server.latency().Reset();
-    completed_at_warmup = server.completed();
-  });
-  m.RunFor(kWarmup + kMeasure + Milliseconds(50));
-
-  Result r;
-  r.offered_kqps = offered_kqps;
-  r.achieved_kqps =
-      static_cast<double>(server.completed() - completed_at_warmup) /
-      ToSeconds(kMeasure + Milliseconds(50)) / 1e3;
-  r.p50_us = server.latency().PercentileUs(50);
-  r.p99_us = server.latency().PercentileUs(99);
-  r.p999_us = server.latency().PercentileUs(99.9);
+  const Result r = fig6::Drive(m, server, windows, offered_kqps, seed);
   if (scrape) {
     scrape(*policy_ptr);
   }
@@ -128,6 +78,7 @@ Result RunFig6(bench::Run& run, const scenario::PolicySpec& spec,
 }
 
 void RecordFig6(bench::Run& run, const char* system, const Result& r) {
+  fig6::CheckThroughput(system, r);
   std::printf("%-20s %10.0f %10.1f %10.1f %10.1f %10.1f\n", system,
               r.offered_kqps, r.achieved_kqps, r.p50_us, r.p99_us, r.p999_us);
   std::fflush(stdout);
@@ -206,8 +157,8 @@ void RunShinjukuSweep(bench::Run& run) {
 
 double RunSearch(bench::Run& run, bool predictive, uint64_t seed,
                  const char* system) {
-  Machine m(Topology::AmdRome256(), CostModel().WithCacheWarmth(),
-            /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth(),
+                       .stats = &run.stats()});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
 
   scenario::PolicySpec spec;
@@ -270,14 +221,13 @@ void RunSearchComparison(bench::Run& run) {
 
 int main(int argc, char** argv) {
   gs::bench::Harness harness("fig_predict", argc, argv);
+  gs::windows = gs::fig6::WindowsFor(harness.quick());
   if (harness.quick()) {
-    gs::kWarmup = gs::Milliseconds(50);
-    gs::kMeasure = gs::Milliseconds(200);
     gs::kSearchRun = gs::Seconds(3);
   }
-  harness.Param("num_workers", gs::kNumWorkers);
-  harness.Param("warmup_ms", static_cast<int64_t>(gs::kWarmup / 1000000));
-  harness.Param("measure_ms", static_cast<int64_t>(gs::kMeasure / 1000000));
+  harness.Param("num_workers", gs::fig6::kNumWorkers);
+  harness.Param("warmup_ms", static_cast<int64_t>(gs::windows.warmup / 1000000));
+  harness.Param("measure_ms", static_cast<int64_t>(gs::windows.measure / 1000000));
   harness.Param("search_run_s", static_cast<int64_t>(gs::kSearchRun / 1000000000));
 
   std::printf("Predictive policies vs probe baselines.\n"
@@ -287,5 +237,5 @@ int main(int argc, char** argv) {
     gs::RunShinjukuSweep(run);
     gs::RunSearchComparison(run);
   });
-  return harness.Finish();
+  return gs::fig6::ExitCode(harness.Finish());
 }

@@ -1,9 +1,9 @@
-// Scoped glue between a benchmark's Machine run and the harness trace
-// exporter.
+// Scoped glue between a benchmark's SimulationContext run and the harness
+// trace exporter.
 //
-// Declare one of these right after constructing the Machine:
+// Declare one of these right after constructing the SimulationContext:
 //
-//   Machine m = MakeMachine();
+//   SimulationContext m({.topology = topo, .stats = &run.stats()});
 //   ScopedMachineTrace trace_scope(run, m.kernel());
 //
 // On construction it attaches the exporter to this run's kernel trace (only

@@ -13,8 +13,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -30,7 +30,7 @@ struct Sample {
 //    Global agent: spinning consumer (produce + poll-detect + dequeue).
 //    Local agent: blocked consumer (produce + wakeup + agent switch + dequeue).
 Sample MessageDeliveryGlobal(bench::Run& run) {
-  Machine m(BenchTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = BenchTopo(), .stats = &run.stats()});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   Task* task = m.kernel().CreateTask("t");
   enclave->AddTask(task);
@@ -53,7 +53,7 @@ Sample MessageDeliveryGlobal(bench::Run& run) {
 Sample MessageDeliveryLocal(bench::Run& run) {
   // Measured end-to-end with a real (blocked) per-CPU agent: post ->
   // agent running and first message popped.
-  Machine m(BenchTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = BenchTopo(), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<PerCpuFifoPolicy>();
@@ -95,7 +95,7 @@ Sample LocalSchedule() {
 // 4-6. Remote schedule (1 txn): agent-side cost, target-side cost, and
 // end-to-end latency until the thread runs.
 void RemoteSchedule(bench::Run& run, Sample* agent_side, Sample* target_side, Sample* e2e) {
-  Machine m(BenchTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = BenchTopo(), .stats = &run.stats()});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   Task* task = m.kernel().CreateTask("t");
   enclave->AddTask(task);
@@ -127,7 +127,7 @@ void RemoteSchedule(bench::Run& run, Sample* agent_side, Sample* target_side, Sa
 
 // 7-9. Group commit of 10 transactions to 10 CPUs.
 void GroupSchedule(bench::Run& run, Sample* agent_side, Sample* target_side, Sample* e2e) {
-  Machine m(BenchTopo(), CostModel(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = BenchTopo(), .stats = &run.stats()});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(12));
   std::vector<Task*> tasks;
   std::vector<Time> started(10, -1);

@@ -17,8 +17,8 @@
 #include "bench/harness.h"
 #include "bench/machine_trace.h"
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/vm_core_sched.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/vm_workload.h"
 
 namespace gs {
@@ -43,7 +43,7 @@ struct Result {
   uint64_t violations = 0;
 };
 
-Result Finish(Machine& m, VmWorkload& vms) {
+Result Finish(SimulationContext& m, VmWorkload& vms) {
   while (!vms.AllDone() && m.now() < Seconds(600)) {
     m.RunFor(Milliseconds(100));
   }
@@ -61,7 +61,7 @@ Result Finish(Machine& m, VmWorkload& vms) {
 }
 
 Result RunCfs(bench::Run& run) {
-  Machine m(VmTopo(), VmCost(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = VmTopo(), .cost = VmCost(), .stats = &run.stats()});
   VmWorkload vms(&m.kernel(), {.work_per_vcpu = kWork});
   vms.StartSecuritySampler();
   vms.Start();
@@ -69,7 +69,8 @@ Result RunCfs(bench::Run& run) {
 }
 
 Result RunKernelCoreSched(bench::Run& run) {
-  Machine m(VmTopo(), VmCost(), /*with_core_sched=*/true, &run.stats());
+  SimulationContext m({.topology = VmTopo(), .cost = VmCost(), .with_core_sched = true,
+                       .stats = &run.stats()});
   VmWorkload vms(&m.kernel(), {.work_per_vcpu = kWork});
   for (Task* vcpu : vms.vcpus()) {
     m.kernel().SetSchedClass(vcpu, m.core_sched_class());
@@ -83,7 +84,7 @@ Result RunKernelCoreSched(bench::Run& run) {
 }
 
 Result RunGhostCoreSched(bench::Run& run) {
-  Machine m(VmTopo(), VmCost(), /*with_core_sched=*/false, &run.stats());
+  SimulationContext m({.topology = VmTopo(), .cost = VmCost(), .stats = &run.stats()});
   bench::ScopedMachineTrace trace_scope(run, m.kernel());
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   VmWorkload vms(&m.kernel(), {.work_per_vcpu = kWork});

@@ -12,9 +12,9 @@
 #include <memory>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 
 using namespace gs;
 
@@ -22,7 +22,7 @@ namespace {
 
 // Self-rearming worker cycle: burn 300us, sleep 200us, repeat — plain
 // recursion instead of a heap-allocated self-referential closure.
-void ArmBurst(Machine& machine, Task* t) {
+void ArmBurst(SimulationContext& machine, Task* t) {
   Kernel& kernel = machine.kernel();
   kernel.StartBurst(t, Microseconds(300), [&machine, &kernel](Task* task) {
     kernel.Block(task);
@@ -33,7 +33,7 @@ void ArmBurst(Machine& machine, Task* t) {
   });
 }
 
-Task* SpawnWorker(Machine& machine, Enclave& enclave, int i) {
+Task* SpawnWorker(SimulationContext& machine, Enclave& enclave, int i) {
   Kernel& kernel = machine.kernel();
   Task* t = kernel.CreateTask("worker/" + std::to_string(i));
   enclave.AddTask(t);
@@ -49,7 +49,7 @@ int main() {
   config.watchdog_timeout = Milliseconds(50);
   config.watchdog_period = Milliseconds(10);
 
-  Machine machine(Topology::Make("upgrade-demo", 1, 4, 1, 4));
+  SimulationContext machine({.topology = Topology::Make("upgrade-demo", 1, 4, 1, 4)});
   auto enclave = machine.CreateEnclave(CpuMask::AllUpTo(4), config);
 
   auto old_agents = std::make_unique<AgentProcess>(

@@ -10,8 +10,8 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/request_service.h"
 #include "src/workloads/rocksdb.h"
 
@@ -31,7 +31,7 @@ int main() {
   MiniRocks db;
   db.LoadSyntheticKeys(kKeys, /*value_bytes=*/64);
 
-  Machine machine(Topology::Make("kv-server", 1, 6, 2, 6));
+  SimulationContext machine({.topology = Topology::Make("kv-server", 1, 6, 2, 6)});
   auto enclave = machine.CreateEnclave(CpuMask::AllUpTo(12));
   AgentProcess agents(&machine.kernel(), machine.ghost_class(), enclave.get(),
                       MakeShinjukuPolicy(Microseconds(30), /*global_cpu=*/0));

@@ -2,7 +2,10 @@
 //
 // One producer (the kernel-side ghOSt class, which serializes on the enclave)
 // and one consumer (whichever agent drains the queue) — the custom
-// shared-memory queues the paper describes, built on the lock-free SPSC ring.
+// shared-memory queues the paper describes. The simulation is
+// single-threaded, so the queue is a plain bounded FIFO: a RingDeque that
+// refuses a push once it holds capacity() messages. The lock-free SpscRing
+// the real queues need is measured on the host by bench/table3_host.
 // A queue may be configured to wake up a (blocked) agent when a message is
 // produced (CONFIG_QUEUE_WAKEUP); spinning agents instead get poked through
 // the enclave's poll-waiter list.
@@ -11,7 +14,7 @@
 
 #include <optional>
 
-#include "src/base/spsc_ring.h"
+#include "src/base/ring_deque.h"
 #include "src/base/time.h"
 #include "src/ghost/message.h"
 
@@ -21,16 +24,30 @@ class Task;
 
 class MessageQueue {
  public:
-  MessageQueue(int id, size_t capacity) : id_(id), ring_(capacity) {}
+  MessageQueue(int id, size_t capacity) : id_(id), capacity_(capacity) {}
 
   int id() const { return id_; }
 
-  bool Push(const Message& msg) { return ring_.TryPush(msg); }
-  std::optional<Message> Pop() { return ring_.TryPop(); }
-  const Message* Peek() const { return ring_.Peek(); }
+  // Returns false, leaving the queue unchanged, if it is full.
+  bool Push(const Message& msg) {
+    if (ring_.size() >= capacity_) {
+      return false;
+    }
+    ring_.push_back(msg);
+    return true;
+  }
+  std::optional<Message> Pop() {
+    if (ring_.empty()) {
+      return std::nullopt;
+    }
+    Message msg = ring_.front();
+    ring_.pop_front();
+    return msg;
+  }
+  const Message* Peek() const { return ring_.empty() ? nullptr : &ring_.front(); }
   size_t size() const { return ring_.size(); }
   bool empty() const { return ring_.empty(); }
-  size_t capacity() const { return ring_.capacity(); }
+  size_t capacity() const { return capacity_; }
 
   // CONFIG_QUEUE_WAKEUP target: agent woken when a message lands while it is
   // blocked. nullptr = no wakeup (polled queue).
@@ -56,7 +73,8 @@ class MessageQueue {
 
  private:
   const int id_;
-  SpscRing<Message> ring_;
+  const size_t capacity_;
+  RingDeque<Message> ring_;
   Task* wakeup_agent_ = nullptr;
   uint64_t overflows_ = 0;
   Time armed_wakeup_at_ = -1;

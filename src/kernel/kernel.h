@@ -69,7 +69,7 @@ class Kernel {
   // `stats` is the registry instrumentation lands in; the kernel does not own
   // it (a SimulationContext typically does). nullptr => the kernel creates a
   // private, disabled registry so metric pointers stay valid at zero cost —
-  // handy for tests that build a bare Kernel/Machine without a context.
+  // handy for tests that build a bare Kernel with a custom class stack.
   Kernel(EventLoop* loop, Topology topology, CostModel cost = CostModel(),
          StatsRegistry* stats = nullptr);
   ~Kernel();

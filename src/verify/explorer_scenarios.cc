@@ -4,8 +4,8 @@
 #include <span>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 
 namespace gs {
@@ -79,7 +79,8 @@ void WakeWhenBlocked(Kernel& kernel, EventLoop& loop, Task* worker) {
 // slept. The check-then-sleep re-validation makes every order safe; the
 // mutation removes it.
 std::string RunLostWakeupScenario(ScheduleOracle* oracle, bool mutate) {
-  Machine machine(Topology::Make("t", 1, 1, 1, 1), ZeroProtocolCosts());
+  SimulationContext machine({.topology = Topology::Make("t", 1, 1, 1, 1),
+                             .cost = ZeroProtocolCosts()});
   EventLoop& loop = machine.loop();
   loop.set_oracle(oracle);
   Kernel& kernel = machine.kernel();
@@ -129,7 +130,7 @@ std::string RunLostWakeupScenario(ScheduleOracle* oracle, bool mutate) {
 // fails validation mid-group and the all-or-nothing protocol must roll a back
 // untouched; the mutation delivers already-latched members anyway.
 std::string RunSyncGroupScenario(ScheduleOracle* oracle, bool mutate) {
-  Machine machine(Topology::Make("t", 1, 3, 1, 3));
+  SimulationContext machine({.topology = Topology::Make("t", 1, 3, 1, 3)});
   EventLoop& loop = machine.loop();
   loop.set_oracle(oracle);
   Kernel& kernel = machine.kernel();
@@ -204,7 +205,7 @@ std::string RunSyncGroupScenario(ScheduleOracle* oracle, bool mutate) {
 // removes the pick-side revalidation, so the reordered schedule runs the
 // thread on cpu 1 while its latch on cpu 0 is still pending delivery.
 std::string RunFastpathScenario(ScheduleOracle* oracle, bool mutate) {
-  Machine machine(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext machine({.topology = Topology::Make("t", 1, 2, 1, 2)});
   EventLoop& loop = machine.loop();
   loop.set_oracle(oracle);
   Kernel& kernel = machine.kernel();

@@ -1,8 +1,8 @@
 // Fixed workloads for the schedule-space explorer, each aimed at one
-// historical mechanism-layer race. Every scenario builds a fresh Machine on a
-// private EventLoop, installs the explorer's oracle, runs a short workload
-// under the InvariantChecker and returns a *time-normalized* violation
-// description ("" when the schedule is clean).
+// historical mechanism-layer race. Every scenario builds a fresh
+// SimulationContext (its own EventLoop), installs the explorer's oracle, runs
+// a short workload under the InvariantChecker and returns a
+// *time-normalized* violation description ("" when the schedule is clean).
 //
 // Each scenario takes a `mutate` flag that reintroduces the bug it was built
 // to catch, via a test seam in the production code (no #ifdefs):

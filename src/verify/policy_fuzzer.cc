@@ -9,9 +9,9 @@
 #include "src/agent/dispatch_policy.h"
 #include "src/agent/sdk/runqueue.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 
 namespace gs {
@@ -245,7 +245,7 @@ std::string RunFuzzCase(const HostileConfig& config, const FuzzSeams& seams,
   // Default (non-zero) protocol costs: the fuzzer hunts logic bugs in commit
   // lifetimes and teardown, which need real windows between effect and
   // arrival — injected IPI delays stretch them further.
-  Machine machine(Topology::Make("fuzz", 2, 2, 1, 2));
+  SimulationContext machine({.topology = Topology::Make("fuzz", 2, 2, 1, 2)});
   EventLoop& loop = machine.loop();
   loop.set_oracle(oracle);
   Kernel& kernel = machine.kernel();

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -19,7 +19,8 @@ class AgentTest : public ::testing::Test {
  protected:
   void Build(int cores, std::unique_ptr<Policy> policy,
              Enclave::Config config = Enclave::Config()) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = SmallTopo(cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores), config);
     process_ = std::make_unique<AgentProcess>(&machine_->kernel(), machine_->ghost_class(),
                                               enclave_.get(), std::move(policy));
@@ -31,31 +32,11 @@ class AgentTest : public ::testing::Test {
   Task* Worker(const std::string& name, Duration burst, int n, Duration gap = 0) {
     Task* task = machine_->kernel().CreateTask(name);
     enclave_->AddTask(task);
-    auto remaining = std::make_shared<int>(n);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    Kernel* kernel = &machine_->kernel();
-    EventLoop* loop_ptr = &machine_->loop();
-    *loop = [kernel, loop_ptr, remaining, burst, gap, loop](Task* t) {
-      if (--*remaining <= 0) {
-        kernel->Exit(t);
-        return;
-      }
-      if (gap > 0) {
-        kernel->Block(t);
-        loop_ptr->ScheduleAfter(gap, [kernel, t, burst, loop] {
-          kernel->StartBurst(t, burst, *loop);
-          kernel->Wake(t);
-        });
-      } else {
-        kernel->StartBurst(t, burst, *loop);
-      }
-    };
-    kernel->StartBurst(task, burst, *loop);
-    kernel->Wake(task);
-    return task;
+    return workers_.Bursty(machine_->kernel(), task, burst, gap, n);
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
 };
@@ -140,11 +121,7 @@ TEST_F(AgentTest, BatchTierOnlyRunsWhenLatencyTierIdle) {
   Task* batch = machine_->kernel().CreateTask("batch");
   batch_tids->insert(batch->tid());
   enclave_->AddTask(batch);
-  auto loop = std::make_shared<std::function<void(Task*)>>();
-  Kernel* kernel = &machine_->kernel();
-  *loop = [kernel, loop](Task* t) { kernel->StartBurst(t, Milliseconds(1), *loop); };
-  kernel->StartBurst(batch, Milliseconds(1), *loop);
-  kernel->Wake(batch);
+  workers_.Bursty(machine_->kernel(), batch, Milliseconds(1));
   machine_->RunFor(Milliseconds(1));
   ASSERT_EQ(batch->state(), TaskState::kRunning);
 

@@ -10,7 +10,7 @@
 // overflow -> TaskDump resync path.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 
 namespace gs {
 namespace {
@@ -18,7 +18,8 @@ namespace {
 class BatchedDeliveryTest : public ::testing::Test {
  protected:
   void Build(int cores, Enclave::Config config = Enclave::Config()) {
-    machine_ = std::make_unique<Machine>(Topology::Make("test", 1, cores, 1, cores));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = Topology::Make("test", 1, cores, 1, cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores), config);
   }
 
@@ -37,7 +38,7 @@ class BatchedDeliveryTest : public ::testing::Test {
     return agent;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
 };
 

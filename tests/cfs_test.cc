@@ -2,7 +2,7 @@
 // LLC-scoped wake placement, balancing, and virtual-clock stability.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -29,15 +29,13 @@ class CfsNiceShareTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CfsNiceShareTest, ShareFollowsWeightRatio) {
   const int nice_delta = GetParam();
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   Task* a = m.kernel().CreateTask("a");
   Task* b = m.kernel().CreateTask("b");
   m.kernel().SetNice(b, nice_delta);
   for (Task* t : {a, b}) {
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [&m, loop](Task* task) { m.kernel().StartBurst(task, Milliseconds(5), *loop); };
-    m.kernel().StartBurst(t, Milliseconds(5), *loop);
-    m.kernel().Wake(t);
+    workers.Bursty(m.kernel(), t, Milliseconds(5));
   }
   m.RunFor(Seconds(2));
   const double expected = static_cast<double>(CfsClass::NiceToWeight(0)) /
@@ -56,10 +54,11 @@ class CfsFairnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CfsFairnessTest, EqualHogsGetEqualTime) {
   const int num_hogs = GetParam();
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   std::vector<Task*> hogs;
   for (int i = 0; i < num_hogs; ++i) {
-    hogs.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr, Milliseconds(2)));
+    hogs.push_back(workers.SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr, Milliseconds(2)));
   }
   m.RunFor(Milliseconds(500));
   Duration min_rt = INT64_MAX, max_rt = 0;
@@ -80,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(HogCounts, CfsFairnessTest, ::testing::Values(2, 3, 4, 
 // --- Wake placement is LLC-scoped ----------------------------------------------------
 
 TEST(CfsPlacementTest, WakePrefersPrevCpu) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -95,7 +94,8 @@ TEST(CfsPlacementTest, WakePrefersPrevCpu) {
 TEST(CfsPlacementTest, WakeStaysInLlcWhenCcxHasIdle) {
   // Rome-style: 2 CCXs of 2 cores each. A task that last ran on CCX 0 with a
   // busy prev CPU moves within CCX 0, not to the idle CCX 1.
-  Machine m(Topology::Make("t", 1, 4, 1, 2));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 2)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -103,7 +103,7 @@ TEST(CfsPlacementTest, WakeStaysInLlcWhenCcxHasIdle) {
   const int prev = t->last_cpu();
   ASSERT_GE(prev, 0);
   // Occupy prev with a pinned hog.
-  Task* hog = SpawnHog(m.kernel(), "hog");
+  Task* hog = workers.SpawnHog(m.kernel(), "hog");
   m.kernel().SetAffinity(hog, CpuMask::Single(prev));
   m.RunFor(Milliseconds(2));
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
@@ -118,7 +118,8 @@ TEST(CfsPlacementTest, QueuesInLlcRatherThanCrossingIt) {
   // Both CPUs of CCX 0 are busy; CCX 1 idle. A waking task that last ran on
   // CCX 0 queues behind a CCX-0 CPU (select_idle_sibling does not scan other
   // LLCs); ms-scale balancing may move it later.
-  Machine m(Topology::Make("t", 1, 4, 1, 2));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 2)});
   Task* t = m.kernel().CreateTask("t");
   m.kernel().StartBurst(t, Microseconds(100), [&](Task* task) { m.kernel().Block(task); });
   m.kernel().Wake(t);
@@ -126,7 +127,7 @@ TEST(CfsPlacementTest, QueuesInLlcRatherThanCrossingIt) {
   const int ccx0 = m.kernel().topology().cpu(t->last_cpu()).ccx;
   const CpuMask ccx0_cpus = m.kernel().topology().CcxMask(ccx0);
   for (int cpu = ccx0_cpus.First(); cpu >= 0; cpu = ccx0_cpus.NextAfter(cpu)) {
-    Task* hog = SpawnHog(m.kernel(), "hog" + std::to_string(cpu));
+    Task* hog = workers.SpawnHog(m.kernel(), "hog" + std::to_string(cpu));
     m.kernel().SetAffinity(hog, CpuMask::Single(cpu));
   }
   m.RunFor(Milliseconds(5));
@@ -150,9 +151,10 @@ TEST(CfsBalanceTest, ActiveBalanceRelievesDualBusyCore) {
   // SMT machine, 2 cores / 4 CPUs: two hogs pinned-then-released on one core
   // while the other core idles. Active balance must migrate one within a few
   // balance intervals.
-  Machine m(Topology::Make("t", 1, 2, 2, 2));
-  Task* a = SpawnHog(m.kernel(), "a", nullptr, Milliseconds(1));
-  Task* b = SpawnHog(m.kernel(), "b", nullptr, Milliseconds(1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 2, 2)});
+  Task* a = workers.SpawnHog(m.kernel(), "a", nullptr, Milliseconds(1));
+  Task* b = workers.SpawnHog(m.kernel(), "b", nullptr, Milliseconds(1));
   const CpuMask core0 = m.kernel().topology().CoreMask(0);
   m.kernel().SetAffinity(a, core0);
   m.kernel().SetAffinity(b, core0);
@@ -173,27 +175,19 @@ TEST(CfsBalanceTest, ActiveBalanceRelievesDualBusyCore) {
 TEST(CfsClockTest, VruntimeStaysBoundedUnderChurn) {
   // The regression behind Fig 6c: mixed extreme nice values with heavy
   // blocking/waking churn and migrations must not blow up vruntime.
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
-  Task* batch = SpawnHog(m.kernel(), "batch", nullptr, Microseconds(500));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
+  Task* batch = workers.SpawnHog(m.kernel(), "batch", nullptr, Microseconds(500));
   m.kernel().SetNice(batch, 19);
-  std::vector<Task*> workers;
+  std::vector<Task*> hot;
   for (int i = 0; i < 8; ++i) {
     Task* w = m.kernel().CreateTask("w" + std::to_string(i));
     m.kernel().SetNice(w, -20);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [&m, loop](Task* task) {
-      m.kernel().Block(task);
-      m.loop().ScheduleAfter(Microseconds(20), [&m, task, loop] {
-        m.kernel().StartBurst(task, Microseconds(30), *loop);
-        m.kernel().Wake(task);
-      });
-    };
-    m.kernel().StartBurst(w, Microseconds(30), *loop);
-    m.kernel().Wake(w);
-    workers.push_back(w);
+    workers.Bursty(m.kernel(), w, Microseconds(30), Microseconds(20));
+    hot.push_back(w);
   }
   m.RunFor(Seconds(1));
-  for (Task* w : workers) {
+  for (Task* w : hot) {
     EXPECT_LT(w->cfs().vruntime, Seconds(3600)) << w->name() << " vruntime exploded";
     EXPECT_GT(w->total_runtime(), Milliseconds(10)) << w->name() << " starved";
   }
@@ -204,8 +198,9 @@ TEST(CfsClockTest, VruntimeStaysBoundedUnderChurn) {
 TEST(CfsClockTest, SleeperCreditBoundsWakeupLatency) {
   // A task that slept a long time must preempt a long-running hog promptly
   // (sleeper credit), not wait out the hog's accumulated lead.
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
-  SpawnHog(m.kernel(), "hog", nullptr, Milliseconds(1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
+  workers.SpawnHog(m.kernel(), "hog", nullptr, Milliseconds(1));
   m.RunFor(Seconds(1));
   Task* sleeper = m.kernel().CreateTask("sleeper");
   Time done = -1;

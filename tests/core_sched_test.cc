@@ -5,8 +5,8 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/vm_core_sched.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/vm_workload.h"
 #include "tests/test_util.h"
 
@@ -14,27 +14,23 @@ namespace gs {
 namespace {
 
 // Helper: create a core-sched hog with a cookie (cookie must precede wake).
-Task* CookieHog(Machine& m, const std::string& name, int64_t cookie,
-                Duration chunk = Milliseconds(1)) {
+Task* CookieHog(Workers& workers, SimulationContext& m, const std::string& name,
+                int64_t cookie, Duration chunk = Milliseconds(1)) {
   Task* t = m.kernel().CreateTask(name, m.core_sched_class());
   m.core_sched_class()->SetCookie(t, cookie);
-  auto loop = std::make_shared<std::function<void(Task*)>>();
-  Kernel* kernel = &m.kernel();
-  *loop = [kernel, chunk, loop](Task* task) { kernel->StartBurst(task, chunk, *loop); };
-  m.kernel().StartBurst(t, chunk, *loop);
-  m.kernel().Wake(t);
-  return t;
+  return workers.Bursty(m.kernel(), t, chunk);
 }
 
 TEST(CoreSchedTest, TwoVmsNeverShareACore) {
-  Machine m(Topology::Make("t", 1, 1, 2, 1), CostModel(), /*with_core_sched=*/true);
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 2, 1), .with_core_sched = true});
   // One core, two VMs with two threads each: they must timeshare the core as
   // whole pairs.
   std::vector<Task*> tasks;
   for (int vm = 1; vm <= 2; ++vm) {
     for (int i = 0; i < 2; ++i) {
       tasks.push_back(
-          CookieHog(m, "vm" + std::to_string(vm) + "/" + std::to_string(i), vm));
+          CookieHog(workers, m, "vm" + std::to_string(vm) + "/" + std::to_string(i), vm));
     }
   }
   m.RunFor(Milliseconds(200));
@@ -50,7 +46,8 @@ class CoreSchedStressTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CoreSchedStressTest, NoViolationsUnderChurn) {
   const int num_vms = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4), CostModel(), /*with_core_sched=*/true);
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4), .with_core_sched = true});
   std::vector<Task*> tasks;
   // VMs whose threads run random bursts and block for random gaps.
   for (int vm = 1; vm <= num_vms; ++vm) {
@@ -58,22 +55,14 @@ TEST_P(CoreSchedStressTest, NoViolationsUnderChurn) {
       Task* t = m.kernel().CreateTask("vm" + std::to_string(vm) + "/" + std::to_string(i),
                                       m.core_sched_class());
       m.core_sched_class()->SetCookie(t, vm);
-      auto loop = std::make_shared<std::function<void(Task*)>>();
-      Kernel* kernel = &m.kernel();
-      EventLoop* el = &m.loop();
-      auto rng_ptr = std::make_shared<Rng>(vm * 100 + i);
-      *loop = [kernel, el, rng_ptr, loop](Task* task) {
-        kernel->Block(task);
-        const auto gap = static_cast<Duration>(rng_ptr->NextBounded(500'000) + 1000);
-        el->ScheduleAfter(gap, [kernel, task, rng_ptr, loop] {
-          const auto burst = static_cast<Duration>(rng_ptr->NextBounded(2'000'000) + 10'000);
-          kernel->StartBurst(task, burst, *loop);
-          kernel->Wake(task);
-        });
+      auto rng = std::make_shared<Rng>(vm * 100 + i);
+      auto next_burst = [rng] {
+        return static_cast<Duration>(rng->NextBounded(2'000'000) + 10'000);
       };
-      const auto burst = static_cast<Duration>(rng_ptr->NextBounded(2'000'000) + 10'000);
-      m.kernel().StartBurst(t, burst, *loop);
-      m.kernel().Wake(t);
+      workers.Chain(m.kernel(), t, next_burst(), [rng, next_burst](Task*) {
+        const auto gap = static_cast<Duration>(rng->NextBounded(500'000) + 1000);
+        return Workers::Next{gap, next_burst()};
+      });
       tasks.push_back(t);
     }
   }
@@ -93,7 +82,7 @@ class VmPolicyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(VmPolicyTest, OversubscribedVmsRotateSecurely) {
   const int num_vms = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   VmWorkload vms(&m.kernel(), {.num_vms = num_vms,
                                .vcpus_per_vm = 2,
@@ -127,7 +116,7 @@ TEST_P(VmPolicyTest, OversubscribedVmsRotateSecurely) {
 INSTANTIATE_TEST_SUITE_P(VmCounts, VmPolicyTest, ::testing::Values(2, 3, 6, 9));
 
 TEST(VmPolicyTest, SoloVcpuForcesSiblingIdle) {
-  Machine m(Topology::Make("t", 1, 2, 2, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 2, 2)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   // One VM with a single vCPU: its core's sibling must be forced idle, and
   // no other thread may land there.

@@ -3,15 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
 
 TEST(TicklessTest, DisabledCpusReceiveNoTicks) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::Single(1));
   enclave->SetTickless(true);
   m.RunFor(Milliseconds(50));
@@ -26,7 +26,7 @@ TEST(TicklessTest, DisabledCpusReceiveNoTicks) {
 TEST(TicklessTest, TickCostStealsGuestTime) {
   CostModel cost;
   cost.tick_cost = Microseconds(10);
-  Machine m(Topology::Make("t", 1, 1, 1, 1), cost);
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1), .cost = cost});
   Time done = -1;
   Task* t = m.kernel().CreateTask("guest");
   m.kernel().StartBurst(t, Milliseconds(10), [&](Task* task) {
@@ -42,7 +42,7 @@ TEST(TicklessTest, TickCostStealsGuestTime) {
 }
 
 TEST(TicklessTest, DestroyRestoresTicks) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   enclave->SetTickless(true);
   EXPECT_FALSE(m.kernel().tick_enabled(0));
@@ -55,10 +55,11 @@ TEST(TicklessTest, NoSliceEnforcementWithoutTicks) {
   // Two CFS hogs on one tickless CPU: without the tick there is no slice
   // expiry, so the first one runs unboundedly (exactly why tickless is only
   // safe when an agent supervises the CPU).
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   m.kernel().SetTickEnabled(0, false);
-  Task* a = SpawnHog(m.kernel(), "a", nullptr, Milliseconds(1));
-  Task* b = SpawnHog(m.kernel(), "b", nullptr, Milliseconds(1));
+  Task* a = workers.SpawnHog(m.kernel(), "a", nullptr, Milliseconds(1));
+  Task* b = workers.SpawnHog(m.kernel(), "b", nullptr, Milliseconds(1));
   m.RunFor(Milliseconds(100));
   const Duration max_rt = std::max(a->total_runtime(), b->total_runtime());
   const Duration min_rt = std::min(a->total_runtime(), b->total_runtime());
@@ -67,7 +68,7 @@ TEST(TicklessTest, NoSliceEnforcementWithoutTicks) {
 }
 
 TEST(HintsTest, RoundTripThroughSharedMemory) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   Task* t = m.kernel().CreateTask("worker");
   enclave->AddTask(t);
@@ -123,7 +124,7 @@ TEST(HintsTest, PolicyCanReadHints) {
     std::vector<int64_t> waiting_;
   };
 
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<HintPolicy>();
   HintPolicy* policy_ptr = policy.get();

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/sim/batch_runner.h"
@@ -28,7 +27,8 @@ class FaultInjectionTest : public ::testing::Test {
              Enclave::Config config = Enclave::Config(),
              FaultInjector::Config faults = FaultInjector::Config(),
              uint64_t seed = 42) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = SmallTopo(cores)});
     injector_ = std::make_unique<FaultInjector>(&machine_->loop(), &machine_->kernel().trace(),
                                                 seed, faults);
     machine_->kernel().set_fault_injector(injector_.get());
@@ -45,28 +45,7 @@ class FaultInjectionTest : public ::testing::Test {
   Task* Worker(const std::string& name, Duration burst, int n, Duration gap = 0) {
     Task* task = machine_->kernel().CreateTask(name);
     enclave_->AddTask(task);
-    auto remaining = std::make_shared<int>(n);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    Kernel* kernel = &machine_->kernel();
-    EventLoop* loop_ptr = &machine_->loop();
-    *loop = [kernel, loop_ptr, remaining, burst, gap, loop](Task* t) {
-      if (--*remaining <= 0) {
-        kernel->Exit(t);
-        return;
-      }
-      if (gap > 0) {
-        kernel->Block(t);
-        loop_ptr->ScheduleAfter(gap, [kernel, t, burst, loop] {
-          kernel->StartBurst(t, burst, *loop);
-          kernel->Wake(t);
-        });
-      } else {
-        kernel->StartBurst(t, burst, *loop);
-      }
-    };
-    kernel->StartBurst(task, burst, *loop);
-    kernel->Wake(task);
-    return task;
+    return workers_.Bursty(machine_->kernel(), task, burst, gap, n);
   }
 
   void ExpectAllDone(const std::vector<Task*>& tasks, Duration burst, int n) {
@@ -76,7 +55,8 @@ class FaultInjectionTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
@@ -309,6 +289,7 @@ TEST(ChaosBatterySweep, ParallelMatrixMatchesSerialAndHoldsInvariants) {
     options.topology = SmallTopo(2);
     options.seed = 42 + static_cast<uint64_t>(index % kSeeds);
     options.faults = faults;
+    Workers workers;
     SimulationContext sim(std::move(options));
 
     auto enclave = sim.CreateEnclave(CpuMask::AllUpTo(2));
@@ -330,23 +311,7 @@ TEST(ChaosBatterySweep, ParallelMatrixMatchesSerialAndHoldsInvariants) {
     for (int i = 0; i < 4; ++i) {
       Task* task = sim.kernel().CreateTask("w" + std::to_string(i));
       enclave->AddTask(task);
-      auto remaining = std::make_shared<int>(kBursts);
-      auto loop = std::make_shared<std::function<void(Task*)>>();
-      Kernel* kernel = &sim.kernel();
-      EventLoop* loop_ptr = &sim.loop();
-      *loop = [kernel, loop_ptr, remaining, loop](Task* t) {
-        if (--*remaining <= 0) {
-          kernel->Exit(t);
-          return;
-        }
-        kernel->Block(t);
-        loop_ptr->ScheduleAfter(Microseconds(100), [kernel, t, loop] {
-          kernel->StartBurst(t, kBurst, *loop);
-          kernel->Wake(t);
-        });
-      };
-      kernel->StartBurst(task, kBurst, *loop);
-      kernel->Wake(task);
+      workers.Bursty(sim.kernel(), task, kBurst, Microseconds(100), kBursts);
       tasks.push_back(task);
     }
     sim.RunFor(Milliseconds(400));

@@ -8,12 +8,12 @@
 
 #include "src/agent/agent_process.h"
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/policies/search.h"
 #include "src/policies/shinjuku.h"
 #include "src/policies/work_stealing.h"
+#include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
 
@@ -52,7 +52,9 @@ class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 TEST_P(ChaosTest, InvariantsHoldUnderRandomOperations) {
   const ChaosParams params = GetParam();
   Rng rng(params.seed);
-  Machine m(Topology::Make("chaos", 2, 4, 2, 2));  // 16 CPUs, 2 sockets, CCXs
+  Workers chains;
+  // 16 CPUs, 2 sockets, CCXs.
+  SimulationContext m({.topology = Topology::Make("chaos", 2, 4, 2, 2)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   // Held through a shared handle so the upgrade chaos op can swap in a
   // replacement process mid-run (§3.4).
@@ -81,21 +83,7 @@ TEST_P(ChaosTest, InvariantsHoldUnderRandomOperations) {
     const auto burst = static_cast<Duration>(5'000 + rng.NextBounded(300'000));
     const auto gap = static_cast<Duration>(1'000 + rng.NextBounded(50'000));
     workers->push_back({t, burst * repeats});
-    auto remaining = std::make_shared<int>(repeats);
-    auto chain = std::make_shared<std::function<void(Task*)>>();
-    *chain = [kernel, loop, remaining, burst, gap, chain](Task* task) {
-      if (--*remaining <= 0) {
-        kernel->Exit(task);
-        return;
-      }
-      kernel->Block(task);
-      loop->ScheduleAfter(gap, [kernel, task, burst, chain] {
-        kernel->StartBurst(task, burst, *chain);
-        kernel->Wake(task);
-      });
-    };
-    kernel->StartBurst(t, burst, *chain);
-    kernel->Wake(t);
+    chains.Bursty(*kernel, t, burst, gap, repeats);
   };
   for (int i = 0; i < 24; ++i) {
     spawn(i);

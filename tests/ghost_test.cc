@@ -2,7 +2,7 @@
 // watchdog fallback, queue association, forced idle, fast path.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -15,7 +15,8 @@ Topology SmallTopo(int cores, int smt = 1) {
 class GhostTest : public ::testing::Test {
  protected:
   void Build(int cores, Enclave::Config config = Enclave::Config()) {
-    machine_ = std::make_unique<Machine>(SmallTopo(cores));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = SmallTopo(cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores), config);
   }
 
@@ -48,7 +49,8 @@ class GhostTest : public ::testing::Test {
     return out;
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
 };
 
@@ -113,7 +115,8 @@ TEST_F(GhostTest, UnknownTidInvalid) {
 }
 
 TEST_F(GhostTest, CpuOutsideEnclaveInvalid) {
-  machine_ = std::make_unique<Machine>(SmallTopo(4));
+  machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+      .topology = SmallTopo(4)});
   enclave_ = machine_->CreateEnclave(CpuMask::Single(0) | CpuMask::Single(1));
   Task* task = machine_->kernel().CreateTask("w");
   enclave_->AddTask(task);
@@ -126,7 +129,7 @@ TEST_F(GhostTest, CpuOutsideEnclaveInvalid) {
 
 TEST_F(GhostTest, CfsOccupiedCpuBusy) {
   Build(2);
-  SpawnHog(machine_->kernel(), "cfs-hog", nullptr, Milliseconds(10));
+  workers_.SpawnHog(machine_->kernel(), "cfs-hog", nullptr, Milliseconds(10));
   machine_->RunFor(Milliseconds(1));
   // The hog landed on some CPU; committing there must fail.
   const int busy_cpu = machine_->kernel().CpuIdle(0) ? 1 : 0;

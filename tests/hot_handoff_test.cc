@@ -4,39 +4,24 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
 
-Task* GhostWorker(Machine& m, Enclave& enclave, const std::string& name, Duration burst,
-                  int repeats) {
+Task* GhostWorker(Workers& workers, SimulationContext& m, Enclave& enclave,
+                  const std::string& name, Duration burst, int repeats) {
   Task* t = m.kernel().CreateTask(name);
   enclave.AddTask(t);
-  Kernel* kernel = &m.kernel();
-  EventLoop* loop_ptr = &m.loop();
-  auto remaining = std::make_shared<int>(repeats);
-  auto loop = std::make_shared<std::function<void(Task*)>>();
-  *loop = [kernel, loop_ptr, remaining, burst, loop](Task* task) {
-    if (--*remaining <= 0) {
-      kernel->Exit(task);
-      return;
-    }
-    kernel->Block(task);
-    loop_ptr->ScheduleAfter(Microseconds(50), [kernel, task, burst, loop] {
-      kernel->StartBurst(task, burst, *loop);
-      kernel->Wake(task);
-    });
-  };
-  kernel->StartBurst(t, burst, *loop);
-  kernel->Wake(t);
+  workers.Bursty(m.kernel(), t, burst, Microseconds(50), repeats);
   return t;
 }
 
 TEST(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;
@@ -46,7 +31,7 @@ TEST(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
   process.Start();
 
   // Keep the agent busy with ghOSt work so it is actually spinning.
-  Task* worker = GhostWorker(m, *enclave, "w", Microseconds(100), 300);
+  Task* worker = GhostWorker(workers, m, *enclave, "w", Microseconds(100), 300);
   m.RunFor(Milliseconds(2));
   ASSERT_EQ(policy_ptr->global_cpu(), 0);
 
@@ -77,7 +62,7 @@ TEST(HotHandoffTest, PinnedCfsThreadEvictsGlobalAgent) {
 TEST(HotHandoffTest, NoIdleCpuMeansNoHandoff) {
   // Single-CPU enclave: nowhere to hand off to; the agent keeps scheduling
   // and the pinned CFS thread waits, as on a fully busy machine.
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::Single(0));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;
@@ -100,7 +85,7 @@ TEST(HotHandoffTest, AgentUpgradeResetsWatchdogClock) {
   // freshly registered agent inherits threads that may have been runnable
   // through the whole upgrade window; without restarting the measurement the
   // watchdog destroys the enclave before the new agent had any chance.
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   Enclave::Config config;
   config.watchdog_timeout = Milliseconds(5);
   config.watchdog_period = Milliseconds(1);

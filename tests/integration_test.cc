@@ -6,42 +6,27 @@
 #include "src/agent/agent_process.h"
 
 #include "src/base/rng.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
 namespace {
 
-Task* BurstyWorker(Machine& m, Enclave& enclave, const std::string& name, Duration burst,
-                   Duration gap, int repeats) {
+Task* BurstyWorker(Workers& workers, SimulationContext& m, Enclave& enclave,
+                   const std::string& name, Duration burst, Duration gap, int repeats) {
   Task* t = m.kernel().CreateTask(name);
   enclave.AddTask(t);
-  Kernel* kernel = &m.kernel();
-  EventLoop* loop_ptr = &m.loop();
-  auto remaining = std::make_shared<int>(repeats);
-  auto loop = std::make_shared<std::function<void(Task*)>>();
-  *loop = [kernel, loop_ptr, remaining, burst, gap, loop](Task* task) {
-    if (--*remaining <= 0) {
-      kernel->Exit(task);
-      return;
-    }
-    kernel->Block(task);
-    loop_ptr->ScheduleAfter(gap, [kernel, task, burst, loop] {
-      kernel->StartBurst(task, burst, *loop);
-      kernel->Wake(task);
-    });
-  };
-  kernel->StartBurst(t, burst, *loop);
-  kernel->Wake(t);
+  workers.Bursty(m.kernel(), t, burst, gap, repeats);
   return t;
 }
 
 TEST(MultiEnclaveTest, TwoEnclavesRunIndependentPolicies) {
   // Fig 2's split: one enclave per half of the machine, per-CPU FIFO on one,
   // centralized on the other.
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto left = m.CreateEnclave(CpuMask::AllUpTo(4));
   CpuMask right_cpus;
   for (int cpu = 4; cpu < 8; ++cpu) {
@@ -60,10 +45,10 @@ TEST(MultiEnclaveTest, TwoEnclavesRunIndependentPolicies) {
 
   std::vector<Task*> left_tasks, right_tasks;
   for (int i = 0; i < 4; ++i) {
-    left_tasks.push_back(
-        BurstyWorker(m, *left, "L" + std::to_string(i), Microseconds(100), Microseconds(50), 10));
-    right_tasks.push_back(
-        BurstyWorker(m, *right, "R" + std::to_string(i), Microseconds(100), Microseconds(50), 10));
+    left_tasks.push_back(BurstyWorker(workers, m, *left, "L" + std::to_string(i),
+                                      Microseconds(100), Microseconds(50), 10));
+    right_tasks.push_back(BurstyWorker(workers, m, *right, "R" + std::to_string(i),
+                                       Microseconds(100), Microseconds(50), 10));
   }
   m.RunFor(Milliseconds(100));
   for (Task* t : left_tasks) {
@@ -77,7 +62,8 @@ TEST(MultiEnclaveTest, TwoEnclavesRunIndependentPolicies) {
 }
 
 TEST(MultiEnclaveTest, DestroyingOneEnclaveLeavesTheOtherIntact) {
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto left = m.CreateEnclave(CpuMask::AllUpTo(4));
   CpuMask right_cpus;
   for (int cpu = 4; cpu < 8; ++cpu) {
@@ -93,8 +79,8 @@ TEST(MultiEnclaveTest, DestroyingOneEnclaveLeavesTheOtherIntact) {
                             std::make_unique<CentralizedFifoPolicy>(options));
   right_agents.Start();
 
-  Task* left_task = BurstyWorker(m, *left, "L", Microseconds(200), Microseconds(50), 50);
-  Task* right_task = BurstyWorker(m, *right, "R", Microseconds(200), Microseconds(50), 50);
+  Task* left_task = BurstyWorker(workers, m, *left, "L", Microseconds(200), Microseconds(50), 50);
+  Task* right_task = BurstyWorker(workers, m, *right, "R", Microseconds(200), Microseconds(50), 50);
   m.RunFor(Milliseconds(2));
 
   left->Destroy();
@@ -107,15 +93,16 @@ TEST(MultiEnclaveTest, DestroyingOneEnclaveLeavesTheOtherIntact) {
 }
 
 TEST(CoexistenceTest, CfsMicroQuantaAndGhostShareTheMachine) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(),
                       std::make_unique<CentralizedFifoPolicy>());
   agents.Start();
 
-  Task* ghost_hog = BurstyWorker(m, *enclave, "ghost", Milliseconds(100), 0, 2);
-  Task* cfs_hog = SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(1));
-  Task* mq_hog = SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(1));
+  Task* ghost_hog = BurstyWorker(workers, m, *enclave, "ghost", Milliseconds(100), 0, 2);
+  Task* cfs_hog = workers.SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(1));
+  Task* mq_hog = workers.SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(1));
   m.RunFor(Milliseconds(100));
 
   // Priority order must hold. The spinning global agent owns CPU 0, so the
@@ -130,7 +117,8 @@ TEST(CoexistenceTest, CfsMicroQuantaAndGhostShareTheMachine) {
 }
 
 TEST(FastPathIntegrationTest, PolicyPublishesAndIdleCpusConsume) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(4));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;
@@ -141,7 +129,7 @@ TEST(FastPathIntegrationTest, PolicyPublishesAndIdleCpusConsume) {
   agents.Start();
   std::vector<Task*> tasks;
   for (int i = 0; i < 6; ++i) {
-    tasks.push_back(BurstyWorker(m, *enclave, "w" + std::to_string(i), Microseconds(20),
+    tasks.push_back(BurstyWorker(workers, m, *enclave, "w" + std::to_string(i), Microseconds(20),
                                  Microseconds(30), 50));
   }
   m.RunFor(Milliseconds(100));
@@ -157,7 +145,8 @@ class DeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
   auto run = [&] {
-    Machine m(Topology::Make("t", 1, 4, 2, 4));
+    Workers workers;
+    SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
     auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
     std::unique_ptr<Policy> policy;
     if (GetParam() == 0) {
@@ -172,7 +161,7 @@ TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
     Rng rng(99);
     std::vector<Task*> tasks;
     for (int i = 0; i < 12; ++i) {
-      tasks.push_back(BurstyWorker(m, *enclave, "w" + std::to_string(i),
+      tasks.push_back(BurstyWorker(workers, m, *enclave, "w" + std::to_string(i),
                                    Microseconds(10 + rng.NextBounded(200)),
                                    Microseconds(10 + rng.NextBounded(100)), 20));
     }
@@ -197,14 +186,15 @@ class ConservationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConservationTest, EveryBurstCompletesExactly) {
   const int num_tasks = GetParam();
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(),
                       std::make_unique<CentralizedFifoPolicy>());
   agents.Start();
   std::vector<Task*> tasks;
   for (int i = 0; i < num_tasks; ++i) {
-    tasks.push_back(BurstyWorker(m, *enclave, "w" + std::to_string(i), Microseconds(70),
+    tasks.push_back(BurstyWorker(workers, m, *enclave, "w" + std::to_string(i), Microseconds(70),
                                  Microseconds(20), 10));
   }
   m.RunFor(Milliseconds(200));

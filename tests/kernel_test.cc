@@ -2,7 +2,7 @@
 // factors, MicroQuanta throttling, accounting exactness, determinism.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -13,7 +13,7 @@ Topology SmallTopo(int cores, int smt = 1) {
 }
 
 TEST(KernelTest, OneShotTaskRunsAndExits) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = SpawnOneShot(m.kernel(), "t", Microseconds(10));
   m.RunFor(Milliseconds(1));
   EXPECT_EQ(task->state(), TaskState::kDead);
@@ -21,7 +21,7 @@ TEST(KernelTest, OneShotTaskRunsAndExits) {
 }
 
 TEST(KernelTest, ContextSwitchCostDelaysCompletion) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Time done_at = 0;
   Task* task = m.kernel().CreateTask("t");
   m.kernel().StartBurst(task, Microseconds(10), [&](Task* t) {
@@ -35,9 +35,10 @@ TEST(KernelTest, ContextSwitchCostDelaysCompletion) {
 }
 
 TEST(KernelTest, TwoHogsShareOneCpuFairly) {
-  Machine m(SmallTopo(1));
-  Task* a = SpawnHog(m.kernel(), "a");
-  Task* b = SpawnHog(m.kernel(), "b");
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(1)});
+  Task* a = workers.SpawnHog(m.kernel(), "a");
+  Task* b = workers.SpawnHog(m.kernel(), "b");
   m.RunFor(Milliseconds(200));
   const double ratio =
       static_cast<double>(a->total_runtime()) / static_cast<double>(b->total_runtime());
@@ -47,16 +48,14 @@ TEST(KernelTest, TwoHogsShareOneCpuFairly) {
 }
 
 TEST(KernelTest, NiceWeightsSkewCpuShare) {
-  Machine m(SmallTopo(1));
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* fav = m.kernel().CreateTask("fav");
   m.kernel().SetNice(fav, -5);
   Task* meh = m.kernel().CreateTask("meh");
   m.kernel().SetNice(meh, 5);
   for (Task* t : {fav, meh}) {
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [&m, loop](Task* task) { m.kernel().StartBurst(task, Milliseconds(10), *loop); };
-    m.kernel().StartBurst(t, Milliseconds(10), *loop);
-    m.kernel().Wake(t);
+    workers.Bursty(m.kernel(), t, Milliseconds(10));
   }
   m.RunFor(Milliseconds(500));
   // weight(-5)/weight(5) = 3121/335 ~ 9.3.
@@ -67,10 +66,11 @@ TEST(KernelTest, NiceWeightsSkewCpuShare) {
 }
 
 TEST(KernelTest, WakePlacementSpreadsAcrossIdleCpus) {
-  Machine m(SmallTopo(4));
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(4)});
   std::vector<Task*> hogs;
   for (int i = 0; i < 4; ++i) {
-    hogs.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i)));
+    hogs.push_back(workers.SpawnHog(m.kernel(), "h" + std::to_string(i)));
   }
   m.RunFor(Milliseconds(50));
   // All four should run in parallel: each gets ~full time.
@@ -80,12 +80,13 @@ TEST(KernelTest, WakePlacementSpreadsAcrossIdleCpus) {
 }
 
 TEST(KernelTest, IdleBalancePullsQueuedWork) {
-  Machine m(SmallTopo(2));
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(2)});
   // Pin three hogs to CPU 0 initially via affinity, then open the mask: the
   // idle CPU 1 should pull.
   std::vector<Task*> hogs;
   for (int i = 0; i < 3; ++i) {
-    Task* hog = SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr, Milliseconds(1));
+    Task* hog = workers.SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr, Milliseconds(1));
     m.kernel().SetAffinity(hog, CpuMask::Single(0));
     hogs.push_back(hog);
   }
@@ -105,7 +106,7 @@ TEST(KernelTest, IdleBalancePullsQueuedWork) {
 }
 
 TEST(KernelTest, BlockedTaskResumesOnWake) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("sleeper");
   int phases = 0;
   m.kernel().StartBurst(task, Microseconds(5), [&](Task* t) {
@@ -129,7 +130,7 @@ TEST(KernelTest, BlockedTaskResumesOnWake) {
 }
 
 TEST(KernelTest, SmtContentionSlowsBothSiblings) {
-  Machine m(SmallTopo(1, /*smt=*/2));  // one core, two hyperthreads
+  SimulationContext m({.topology = SmallTopo(1, /*smt=*/2)});  // one core, two hyperthreads
   Time a_done = 0, b_done = 0;
   Task* a = m.kernel().CreateTask("a");
   Task* b = m.kernel().CreateTask("b");
@@ -153,7 +154,7 @@ TEST(KernelTest, SmtContentionSlowsBothSiblings) {
 }
 
 TEST(KernelTest, SmtSpeedRecoversWhenSiblingIdles) {
-  Machine m(SmallTopo(1, /*smt=*/2));
+  SimulationContext m({.topology = SmallTopo(1, /*smt=*/2)});
   Time a_done = 0;
   Task* a = m.kernel().CreateTask("a");
   m.kernel().StartBurst(a, Microseconds(100), [&](Task* t) {
@@ -172,9 +173,10 @@ TEST(KernelTest, SmtSpeedRecoversWhenSiblingIdles) {
 }
 
 TEST(KernelTest, MicroQuantaThrottlingLeavesBlackouts) {
-  Machine m(SmallTopo(1));
-  Task* mq = SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(100));
-  Task* cfs = SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(100));
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(1)});
+  Task* mq = workers.SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(100));
+  Task* cfs = workers.SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(100));
   m.RunFor(Milliseconds(100));
   // MicroQuanta gets ~0.9 of every 1ms period, CFS the remaining ~0.1.
   EXPECT_NEAR(static_cast<double>(mq->total_runtime()) / Milliseconds(100), 0.9, 0.05);
@@ -183,8 +185,9 @@ TEST(KernelTest, MicroQuantaThrottlingLeavesBlackouts) {
 }
 
 TEST(KernelTest, MicroQuantaPreemptsCfsImmediately) {
-  Machine m(SmallTopo(1));
-  SpawnHog(m.kernel(), "cfs");
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(1)});
+  workers.SpawnHog(m.kernel(), "cfs");
   m.RunFor(Milliseconds(5));
   Time woke = m.now();
   Time ran_at = -1;
@@ -201,8 +204,9 @@ TEST(KernelTest, MicroQuantaPreemptsCfsImmediately) {
 }
 
 TEST(KernelTest, AffinityPinsTask) {
-  Machine m(SmallTopo(4));
-  Task* pinned = SpawnHog(m.kernel(), "pinned", nullptr, Microseconds(100));
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(4)});
+  Task* pinned = workers.SpawnHog(m.kernel(), "pinned", nullptr, Microseconds(100));
   m.kernel().SetAffinity(pinned, CpuMask::Single(2));
   m.RunFor(Milliseconds(20));
   EXPECT_EQ(pinned->state(), TaskState::kRunning);
@@ -211,7 +215,7 @@ TEST(KernelTest, AffinityPinsTask) {
 }
 
 TEST(KernelTest, PreemptionPreservesProgressAccounting) {
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Time done = 0;
   Task* victim = m.kernel().CreateTask("victim");
   m.kernel().StartBurst(victim, Microseconds(100), [&](Task* t) {
@@ -233,10 +237,11 @@ TEST(KernelTest, PreemptionPreservesProgressAccounting) {
 
 TEST(KernelTest, DeterministicAcrossRuns) {
   auto run = [] {
-    Machine m(SmallTopo(4, 2));
+    Workers workers;
+    SimulationContext m({.topology = SmallTopo(4, 2)});
     std::vector<Task*> tasks;
     for (int i = 0; i < 16; ++i) {
-      tasks.push_back(SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr,
+      tasks.push_back(workers.SpawnHog(m.kernel(), "h" + std::to_string(i), nullptr,
                                Microseconds(100 + 13 * i)));
     }
     m.RunFor(Milliseconds(50));
@@ -251,9 +256,10 @@ TEST(KernelTest, DeterministicAcrossRuns) {
 }
 
 TEST(KernelTest, KillRunnableAndBlockedTasks) {
-  Machine m(SmallTopo(1));
-  Task* hog = SpawnHog(m.kernel(), "hog");
-  Task* queued = SpawnHog(m.kernel(), "queued");
+  Workers workers;
+  SimulationContext m({.topology = SmallTopo(1)});
+  Task* hog = workers.SpawnHog(m.kernel(), "hog");
+  Task* queued = workers.SpawnHog(m.kernel(), "queued");
   m.RunFor(Milliseconds(1));
   // One runs, one queued; kill both.
   m.kernel().Kill(hog);
@@ -270,7 +276,7 @@ TEST(KernelTest, BlockRewakeInDeschedWindowIsFreshPlacement) {
   // schedule() — it must be treated as freshly placed, so its on-scheduled
   // hook fires again. (The broken resume path silently swallowed the hook,
   // which wedged a blocked-then-instantly-rewoken agent forever.)
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("t");
   int scheduled = 0;
   m.kernel().SetOnScheduled(task, [&](Task*) { ++scheduled; });
@@ -298,7 +304,7 @@ TEST(KernelTest, ZeroLengthBurstSurvivesSameInstantPreemption) {
   // completion. Re-placement must re-arm it — has_burst() is false for a
   // zero-length burst, so without has_pending_burst_done() the completion
   // callback is lost and the task wedges forever.
-  Machine m(SmallTopo(1));
+  SimulationContext m({.topology = SmallTopo(1)});
   Task* task = m.kernel().CreateTask("t");
   m.kernel().StartBurst(task, Microseconds(10), [&m](Task* t) {
     m.kernel().Block(t);
@@ -313,7 +319,7 @@ TEST(KernelTest, ZeroLengthBurstSurvivesSameInstantPreemption) {
 }
 
 TEST(KernelTest, BusyTimeAccounting) {
-  Machine m(SmallTopo(2));
+  SimulationContext m({.topology = SmallTopo(2)});
   SpawnOneShot(m.kernel(), "t", Milliseconds(3));
   m.RunFor(Milliseconds(10));
   const Duration busy = m.kernel().CpuBusyTime(0) + m.kernel().CpuBusyTime(1);

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/ghost/fastpath.h"
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -15,7 +15,8 @@ namespace {
 class LatchTest : public ::testing::Test {
  protected:
   void Build(int cores) {
-    machine_ = std::make_unique<Machine>(Topology::Make("t", 1, cores, 1, cores));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = Topology::Make("t", 1, cores, 1, cores)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cores));
   }
 
@@ -37,7 +38,7 @@ class LatchTest : public ::testing::Test {
     return txn.status;
   }
 
-  std::unique_ptr<Machine> machine_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
 };
 

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -55,7 +55,7 @@ class CostLedgerPolicy : public Policy {
 };
 
 TEST(AgentContextTest, CostLedgerMatchesCostModel) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   auto policy = std::make_unique<CostLedgerPolicy>();
   CostLedgerPolicy* ptr = policy.get();
@@ -68,7 +68,7 @@ TEST(AgentContextTest, CostLedgerMatchesCostModel) {
 // --- Enclave API edges ---------------------------------------------------------------
 
 TEST(EnclaveEdgeTest, RemoveTaskReturnsThreadToCfs) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   Task* t = m.kernel().CreateTask("w");
   enclave->AddTask(t);
@@ -84,7 +84,7 @@ TEST(EnclaveEdgeTest, RemoveTaskReturnsThreadToCfs) {
 }
 
 TEST(EnclaveEdgeTest, DestroyQueueReroutesTickQueue) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   MessageQueue* q = enclave->CreateQueue();
   enclave->SetCpuQueue(0, q);
@@ -111,7 +111,7 @@ TEST(EnclaveEdgeTest, DestroyQueueReroutesTickQueue) {
 }
 
 TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<PerCpuFifoPolicy>());
@@ -129,7 +129,7 @@ TEST(EnclaveEdgeTest, SchedLatencyHistogramRecordsDispatches) {
 }
 
 TEST(EnclaveEdgeTest, AddTaskTwiceIsFatalButRemoveAddWorks) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(2));
   Task* t = m.kernel().CreateTask("w");
   enclave->AddTask(t);
@@ -151,7 +151,9 @@ class ShapeSweepTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(ShapeSweepTest, CentralizedPolicyConservesWorkOnAnyTopology) {
   const Shape shape = GetParam();
-  Machine m(Topology::Make("shape", shape.sockets, shape.cores, shape.smt, shape.ccx));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("shape", shape.sockets, shape.cores,
+                                                  shape.smt, shape.ccx)});
   auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
   AgentProcess process(&m.kernel(), m.ghost_class(), enclave.get(),
                        std::make_unique<CentralizedFifoPolicy>());
@@ -162,23 +164,7 @@ TEST_P(ShapeSweepTest, CentralizedPolicyConservesWorkOnAnyTopology) {
   for (int i = 0; i < n; ++i) {
     Task* t = m.kernel().CreateTask("w" + std::to_string(i));
     enclave->AddTask(t);
-    Kernel* kernel = &m.kernel();
-    EventLoop* loop_ptr = &m.loop();
-    auto remaining = std::make_shared<int>(5);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [kernel, loop_ptr, remaining, loop](Task* task) {
-      if (--*remaining <= 0) {
-        kernel->Exit(task);
-        return;
-      }
-      kernel->Block(task);
-      loop_ptr->ScheduleAfter(Microseconds(20), [kernel, task, loop] {
-        kernel->StartBurst(task, Microseconds(50), *loop);
-        kernel->Wake(task);
-      });
-    };
-    kernel->StartBurst(t, Microseconds(50), *loop);
-    kernel->Wake(t);
+    workers.Bursty(m.kernel(), t, Microseconds(50), Microseconds(20), 5);
     tasks.push_back(t);
   }
   m.RunFor(Milliseconds(100));

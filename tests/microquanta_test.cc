@@ -2,7 +2,7 @@
 // window semantics, blackout length, and interaction with blocking workers.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -17,8 +17,8 @@ class MqBudgetTest : public ::testing::TestWithParam<MqParams> {};
 
 TEST_P(MqBudgetTest, HogGetsExactlyItsBudgetShare) {
   const MqParams params = GetParam();
-  Machine m(Topology::Make("t", 1, 1, 1, 1), CostModel());
   // Need a custom-parameterized class: build a bespoke machine stack.
+  Workers workers;
   EventLoop loop;
   Kernel kernel(&loop, Topology::Make("t", 1, 1, 1, 1));
   auto agent = std::make_unique<AgentClass>();
@@ -32,8 +32,8 @@ TEST_P(MqBudgetTest, HogGetsExactlyItsBudgetShare) {
   classes.push_back(std::move(cfs));
   kernel.InstallClasses(std::move(classes), /*default_index=*/2);
 
-  Task* hog = SpawnHog(kernel, "mq-hog", mq_ptr, Milliseconds(50));
-  Task* background = SpawnHog(kernel, "cfs-hog", nullptr, Milliseconds(50));
+  Task* hog = workers.SpawnHog(kernel, "mq-hog", mq_ptr, Milliseconds(50));
+  Task* background = workers.SpawnHog(kernel, "cfs-hog", nullptr, Milliseconds(50));
   loop.RunUntil(Milliseconds(200));
 
   const double share = static_cast<double>(hog->total_runtime()) /
@@ -58,10 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MicroQuantaTest, BlackoutBoundedByPeriodMinusQuanta) {
   // Measure the longest continuous interval the MQ hog is off-CPU while
   // runnable: it must be ~period - quanta (the §4.3 "networking blackout").
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   m.kernel().trace().Enable();
-  Task* hog = SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(50));
-  SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(50));
+  Task* hog = workers.SpawnHog(m.kernel(), "mq", m.mq_class(), Milliseconds(50));
+  workers.SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(50));
   m.RunFor(Milliseconds(100));
 
   Duration longest_gap = 0;
@@ -81,30 +82,20 @@ TEST(MicroQuantaTest, BlackoutBoundedByPeriodMinusQuanta) {
 TEST(MicroQuantaTest, BlockingWorkerUnaffectedByBudgetAtLowUtilization) {
   // A worker that needs only 10% CPU never hits its quanta: its wakeup
   // latency stays flat (no blackouts at low utilization).
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  Workers workers;
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   Task* worker = m.kernel().CreateTask("worker", m.mq_class());
-  auto max_latency = std::make_shared<Duration>(0);
-  Kernel* kernel = &m.kernel();
-  EventLoop* loop = &m.loop();
-  auto chain = std::make_shared<std::function<void(Task*)>>();
-  auto wake_time = std::make_shared<Time>(0);
-  *chain = [kernel, loop, chain, max_latency, wake_time](Task* task) {
-    *max_latency = std::max(*max_latency,
-                            kernel->now() - *wake_time - Microseconds(100));
-    kernel->Block(task);
-    loop->ScheduleAfter(Microseconds(900), [kernel, task, chain, wake_time] {
-      *wake_time = kernel->now();
-      kernel->StartBurst(task, Microseconds(100), *chain);
-      kernel->Wake(task);
-    });
-  };
-  *wake_time = 0;
-  m.kernel().StartBurst(worker, Microseconds(100), *chain);
-  m.kernel().Wake(worker);
-  SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(1));
+  Duration max_latency = 0;
+  Time wake_time = 0;
+  workers.Chain(m.kernel(), worker, Microseconds(100), [&](Task*) {
+    max_latency = std::max(max_latency, m.now() - wake_time - Microseconds(100));
+    wake_time = m.now() + Microseconds(900);
+    return Workers::Next{Microseconds(900), Microseconds(100)};
+  });
+  workers.SpawnHog(m.kernel(), "cfs", nullptr, Milliseconds(1));
   m.RunFor(Milliseconds(100));
   EXPECT_EQ(m.mq_class()->throttle_count(), 0u);
-  EXPECT_LT(*max_latency, Microseconds(5)) << "wakeup latency flat at low load";
+  EXPECT_LT(max_latency, Microseconds(5)) << "wakeup latency flat at low load";
 }
 
 }  // namespace

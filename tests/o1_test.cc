@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/ghost/machine.h"
 #include "src/sim/batch_runner.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
@@ -46,8 +45,8 @@ class O1PolicyTest : public ::testing::Test {
   // An O1 enclave over `num_cpus` CPUs; `prio_map` routes tids to priority
   // levels (tasks are registered in the map before entering the enclave).
   void Build(int num_cpus) {
-    machine_ = std::make_unique<Machine>(
-        Topology::Make("o1t", 1, num_cpus, 1, num_cpus), CostModel());
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = Topology::Make("o1t", 1, num_cpus, 1, num_cpus)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(num_cpus));
     prio_map_ = std::make_shared<std::map<int64_t, int>>();
     O1Policy::Options options;
@@ -72,17 +71,11 @@ class O1PolicyTest : public ::testing::Test {
     Task* task = kernel.CreateTask(name);
     (*prio_map_)[task->tid()] = prio;
     enclave_->AddTask(task);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    Kernel* kernel_ptr = &kernel;
-    *loop = [kernel_ptr, chunk, loop](Task* t) {
-      kernel_ptr->StartBurst(t, chunk, *loop);
-    };
-    kernel.StartBurst(task, chunk, *loop);
-    kernel.Wake(task);
-    return task;
+    return workers_.Bursty(kernel, task, chunk);
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::shared_ptr<std::map<int64_t, int>> prio_map_;
   O1Policy* policy_ = nullptr;
@@ -158,35 +151,24 @@ TEST_F(O1PolicyTest, SleeperRejoinsActiveArrayPromptly) {
 
   constexpr Duration kBurst = Microseconds(200);
   constexpr int kRounds = 20;
-  auto done_times = std::make_shared<std::vector<Time>>();
-  auto wake_times = std::make_shared<std::vector<Time>>();
-  auto round = std::make_shared<std::function<void(Task*)>>();
-  Kernel* kernel_ptr = &kernel;
-  EventLoop* loop = &machine_->loop();
-  *round = [kernel_ptr, loop, done_times, wake_times, round](Task* t) {
-    done_times->push_back(kernel_ptr->now());
-    if (done_times->size() >= kRounds) {
-      kernel_ptr->Exit(t);
-      return;
+  std::vector<Time> done_times;
+  std::vector<Time> wake_times = {kernel.now()};
+  workers_.Chain(kernel, sleeper, kBurst, [&](Task*) -> std::optional<Workers::Next> {
+    done_times.push_back(kernel.now());
+    if (done_times.size() >= kRounds) {
+      return std::nullopt;
     }
-    kernel_ptr->Block(t);
-    loop->ScheduleAfter(Milliseconds(3), [kernel_ptr, wake_times, t, round] {
-      wake_times->push_back(kernel_ptr->now());
-      kernel_ptr->StartBurst(t, kBurst, *round);
-      kernel_ptr->Wake(t);
-    });
-  };
-  wake_times->push_back(kernel.now());
-  kernel.StartBurst(sleeper, kBurst, *round);
-  kernel.Wake(sleeper);
+    wake_times.push_back(kernel.now() + Milliseconds(3));
+    return Workers::Next{Milliseconds(3), kBurst};
+  });
 
   machine_->RunFor(Milliseconds(150));
-  ASSERT_EQ(done_times->size(), static_cast<size_t>(kRounds));
+  ASSERT_EQ(done_times.size(), static_cast<size_t>(kRounds));
   // Every round: woken at w, done by w + burst + (bounded scheduling delay).
   // The hog's 1 ms chunks bound how long the sleeper can wait for the agent
   // to preempt, so a generous bound still proves active-array re-entry.
-  for (size_t i = 0; i < done_times->size(); ++i) {
-    const Duration latency = (*done_times)[i] - (*wake_times)[i];
+  for (size_t i = 0; i < done_times.size(); ++i) {
+    const Duration latency = done_times[i] - wake_times[i];
     EXPECT_LT(latency, Milliseconds(3))
         << "round " << i << ": sleeper waited " << ToMillis(latency) << " ms";
   }
@@ -235,6 +217,7 @@ TEST(O1ChaosTest, SurvivesChaosBatteryWithInvariantsHeld) {
     options.topology = Topology::Make("o1chaos", 1, 2, 1, 2);
     options.seed = 42 + static_cast<uint64_t>(index % kSeeds);
     options.faults = faults;
+    Workers workers;
     SimulationContext sim(std::move(options));
 
     auto enclave = sim.CreateEnclave(CpuMask::AllUpTo(2));
@@ -256,23 +239,7 @@ TEST(O1ChaosTest, SurvivesChaosBatteryWithInvariantsHeld) {
     for (int i = 0; i < 4; ++i) {
       Task* task = sim.kernel().CreateTask("w" + std::to_string(i));
       enclave->AddTask(task);
-      auto remaining = std::make_shared<int>(kBursts);
-      auto loop = std::make_shared<std::function<void(Task*)>>();
-      Kernel* kernel = &sim.kernel();
-      EventLoop* loop_ptr = &sim.loop();
-      *loop = [kernel, loop_ptr, remaining, loop](Task* t) {
-        if (--*remaining <= 0) {
-          kernel->Exit(t);
-          return;
-        }
-        kernel->Block(t);
-        loop_ptr->ScheduleAfter(Microseconds(100), [kernel, t, loop] {
-          kernel->StartBurst(t, kBurst, *loop);
-          kernel->Wake(t);
-        });
-      };
-      kernel->StartBurst(task, kBurst, *loop);
-      kernel->Wake(task);
+      workers.Bursty(sim.kernel(), task, kBurst, Microseconds(100), kBursts);
       tasks.push_back(task);
     }
     sim.RunFor(Milliseconds(400));

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
 #include "tests/test_util.h"
 
@@ -24,7 +24,7 @@ Topology SmallTopo(int cores) { return Topology::Make("test", 1, cores, 1, cores
 // Unit level: fill a tiny queue past capacity and verify the kernel-side
 // overflow bookkeeping plus recovery via TaskDump + FlushAllQueues.
 TEST(OverflowTest, TinyQueueDropsAndRecoversViaDumpAndFlush) {
-  Machine machine(SmallTopo(2));
+  SimulationContext machine({.topology = SmallTopo(2)});
   Enclave::Config config;
   config.default_queue_capacity = 2;
   auto enclave = machine.CreateEnclave(CpuMask::AllUpTo(2), config);
@@ -66,7 +66,7 @@ TEST(OverflowTest, TinyQueueDropsAndRecoversViaDumpAndFlush) {
 // End to end: a real agent behind a tiny queue hits overflow from a thread
 // herd, resyncs from the dump, and finishes every thread with no lost work.
 TEST(OverflowTest, AgentRecoversFromRealOverflowUnderLoad) {
-  Machine machine(SmallTopo(2));
+  SimulationContext machine({.topology = SmallTopo(2)});
   Enclave::Config config;
   config.default_queue_capacity = 4;
   config.watchdog_timeout = Milliseconds(50);

@@ -5,9 +5,9 @@
 #include "src/agent/agent_process.h"
 #include "src/agent/sdk/runqueue.h"
 #include "src/agent/task_table.h"
-#include "src/ghost/machine.h"
 #include "src/policies/search.h"
 #include "src/policies/shinjuku.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -113,8 +113,8 @@ TEST(MinRunqueueTest, OrdersByKeyThenTid) {
 class SearchPolicyTest : public ::testing::Test {
  protected:
   void Build() {
-    machine_ = std::make_unique<Machine>(Topology::AmdRome256(),
-                                         CostModel().WithCacheWarmth());
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = Topology::AmdRome256(), .cost = CostModel().WithCacheWarmth()});
     enclave_ = machine_->CreateEnclave(machine_->kernel().topology().AllCpus());
     SearchPolicy::Options options;
     options.global_cpu = 0;
@@ -127,27 +127,12 @@ class SearchPolicyTest : public ::testing::Test {
   Task* BurstyWorker(const std::string& name, Duration burst, Duration gap, int repeats) {
     Task* t = machine_->kernel().CreateTask(name);
     enclave_->AddTask(t);
-    Kernel* kernel = &machine_->kernel();
-    EventLoop* loop_ptr = &machine_->loop();
-    auto remaining = std::make_shared<int>(repeats);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [kernel, loop_ptr, remaining, burst, gap, loop](Task* task) {
-      if (--*remaining <= 0) {
-        kernel->Exit(task);
-        return;
-      }
-      kernel->Block(task);
-      loop_ptr->ScheduleAfter(gap, [kernel, task, burst, loop] {
-        kernel->StartBurst(task, burst, *loop);
-        kernel->Wake(task);
-      });
-    };
-    kernel->StartBurst(t, burst, *loop);
-    kernel->Wake(t);
+    workers_.Bursty(machine_->kernel(), t, burst, gap, repeats);
     return t;
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
 };
@@ -185,7 +170,7 @@ TEST_F(SearchPolicyTest, MinRuntimeOrderFavoursFreshThreads) {
   // Occupy every CPU except one with CFS hogs so the policy has one slot.
   const int total = machine_->kernel().topology().num_cpus();
   for (int cpu = 1; cpu < total - 1; ++cpu) {
-    Task* hog = SpawnHog(machine_->kernel(), "hog" + std::to_string(cpu));
+    Task* hog = workers_.SpawnHog(machine_->kernel(), "hog" + std::to_string(cpu));
     machine_->kernel().SetAffinity(hog, CpuMask::Single(cpu));
   }
   machine_->RunFor(Milliseconds(10));

@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
 #include "src/sim/fault_injector.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -35,7 +35,8 @@ std::unique_ptr<Policy> MakePolicy(int kind) {
 // overflow pressure) sampled from `seed`, plus a scheduled transient agent
 // stall. Returns {digest, events recorded}.
 std::pair<uint64_t, uint64_t> RunScenario(int policy_kind, uint64_t seed) {
-  Machine machine(Topology::Make("replay", 1, 4, 1, 4));
+  Workers workers;
+  SimulationContext machine({.topology = Topology::Make("replay", 1, 4, 1, 4)});
   machine.kernel().trace().Enable();
 
   FaultInjector::Config faults;
@@ -57,23 +58,7 @@ std::pair<uint64_t, uint64_t> RunScenario(int policy_kind, uint64_t seed) {
   for (int i = 0; i < 8; ++i) {
     Task* task = machine.kernel().CreateTask("w" + std::to_string(i));
     enclave->AddTask(task);
-    auto remaining = std::make_shared<int>(60);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    Kernel* kernel = &machine.kernel();
-    EventLoop* loop_ptr = &machine.loop();
-    *loop = [kernel, loop_ptr, remaining, loop](Task* t) {
-      if (--*remaining <= 0) {
-        kernel->Exit(t);
-        return;
-      }
-      kernel->Block(t);
-      loop_ptr->ScheduleAfter(Microseconds(50), [kernel, t, loop] {
-        kernel->StartBurst(t, Microseconds(150), *loop);
-        kernel->Wake(t);
-      });
-    };
-    kernel->StartBurst(task, Microseconds(150), *loop);
-    kernel->Wake(task);
+    workers.Bursty(machine.kernel(), task, Microseconds(150), Microseconds(50), 60);
   }
 
   // A transient stall (shorter than the watchdog bound) is part of the

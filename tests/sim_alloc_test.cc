@@ -22,8 +22,8 @@
 #include "src/agent/agent_process.h"
 #include "src/base/flat_map.h"
 #include "src/base/slab.h"
-#include "src/ghost/machine.h"
 #include "src/policies/centralized_fifo.h"
+#include "src/sim/simulation.h"
 
 namespace {
 
@@ -204,7 +204,7 @@ void ArmWorkerBurst(Kernel* k, Task* t, Duration burst) {
 }
 
 TEST(SimAllocTest, GhostSteadyStateIsAllocationFree) {
-  Machine m(Topology::Make("t", 1, 8, 1, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 1, 8)});
   auto enclave = m.CreateEnclave(CpuMask::AllUpTo(8));
   CentralizedFifoPolicy::Options options;
   options.global_cpu = 0;

@@ -15,6 +15,7 @@
 #include "src/sim/batch_runner.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
+#include "tests/test_util.h"
 
 namespace gs {
 namespace {
@@ -29,6 +30,7 @@ std::string RunWorkload(uint64_t seed) {
   options.topology = Topology::Make("simtest", 1, 2, 1, 2);
   options.seed = seed;
   options.enable_stats = true;
+  Workers workers;
   SimulationContext sim(std::move(options));
 
   auto enclave = sim.CreateEnclave(CpuMask::AllUpTo(2));
@@ -44,23 +46,7 @@ std::string RunWorkload(uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
     Task* task = sim.kernel().CreateTask("w" + std::to_string(i));
     enclave->AddTask(task);
-    auto remaining = std::make_shared<int>(10 + static_cast<int>(seed % 5));
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    Kernel* kernel = &sim.kernel();
-    EventLoop* loop_ptr = &sim.loop();
-    *loop = [kernel, loop_ptr, remaining, loop](Task* t) {
-      if (--*remaining <= 0) {
-        kernel->Exit(t);
-        return;
-      }
-      kernel->Block(t);
-      loop_ptr->ScheduleAfter(Microseconds(50), [kernel, t, loop] {
-        kernel->StartBurst(t, kBurst, *loop);
-        kernel->Wake(t);
-      });
-    };
-    kernel->StartBurst(task, kBurst, *loop);
-    kernel->Wake(task);
+    workers.Bursty(sim.kernel(), task, kBurst, Microseconds(50), 10 + static_cast<int>(seed % 5));
     tasks.push_back(task);
   }
   sim.RunFor(Milliseconds(50));
@@ -132,6 +118,31 @@ TEST(SimulationContextTest, NestedContextsStayIndependent) {
     EXPECT_NE(&inner.stats(), outer_stats);
   }
   EXPECT_EQ(&outer.stats(), outer_stats);
+}
+
+// The context builds the paper's class stack in strict priority order:
+// agent > MicroQuanta > [core scheduling] > CFS (default) > ghOSt.
+TEST(SimulationContextTest, BuildsClassStackInPriorityOrder) {
+  SimulationContext plain(SimulationContext::Options{});
+  Kernel& k = plain.kernel();
+  ASSERT_EQ(k.num_classes(), 4);
+  EXPECT_EQ(k.sched_class_at(0), plain.agent_class());
+  EXPECT_EQ(k.sched_class_at(1), plain.mq_class());
+  EXPECT_EQ(k.sched_class_at(2), plain.cfs_class());
+  EXPECT_EQ(k.sched_class_at(3), plain.ghost_class());
+  EXPECT_EQ(k.default_class(), plain.cfs_class());
+  EXPECT_EQ(plain.core_sched_class(), nullptr);
+
+  SimulationContext cored({.with_core_sched = true});
+  Kernel& kc = cored.kernel();
+  ASSERT_EQ(kc.num_classes(), 5);
+  ASSERT_NE(cored.core_sched_class(), nullptr);
+  EXPECT_EQ(kc.sched_class_at(0), cored.agent_class());
+  EXPECT_EQ(kc.sched_class_at(1), cored.mq_class());
+  EXPECT_EQ(kc.sched_class_at(2), cored.core_sched_class());
+  EXPECT_EQ(kc.sched_class_at(3), cored.cfs_class());
+  EXPECT_EQ(kc.sched_class_at(4), cored.ghost_class());
+  EXPECT_EQ(kc.default_class(), cored.cfs_class());
 }
 
 // ---- BatchRunner ----------------------------------------------------------

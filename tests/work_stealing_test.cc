@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/agent_process.h"
-#include "src/ghost/machine.h"
 #include "src/policies/work_stealing.h"
+#include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
 namespace gs {
@@ -13,7 +13,8 @@ namespace {
 class WorkStealingTest : public ::testing::Test {
  protected:
   void Build(int cpus) {
-    machine_ = std::make_unique<Machine>(Topology::Make("t", 1, cpus, 1, cpus));
+    machine_ = std::make_unique<SimulationContext>(SimulationContext::Options{
+        .topology = Topology::Make("t", 1, cpus, 1, cpus)});
     enclave_ = machine_->CreateEnclave(CpuMask::AllUpTo(cpus));
     auto policy = std::make_unique<WorkStealingPolicy>();
     policy_ = policy.get();
@@ -25,27 +26,12 @@ class WorkStealingTest : public ::testing::Test {
   Task* Worker(const std::string& name, Duration burst, int repeats, Duration gap) {
     Task* t = machine_->kernel().CreateTask(name);
     enclave_->AddTask(t);
-    Kernel* kernel = &machine_->kernel();
-    EventLoop* loop_ptr = &machine_->loop();
-    auto remaining = std::make_shared<int>(repeats);
-    auto loop = std::make_shared<std::function<void(Task*)>>();
-    *loop = [kernel, loop_ptr, remaining, burst, gap, loop](Task* task) {
-      if (--*remaining <= 0) {
-        kernel->Exit(task);
-        return;
-      }
-      kernel->Block(task);
-      loop_ptr->ScheduleAfter(gap, [kernel, task, burst, loop] {
-        kernel->StartBurst(task, burst, *loop);
-        kernel->Wake(task);
-      });
-    };
-    kernel->StartBurst(t, burst, *loop);
-    kernel->Wake(t);
+    workers_.Bursty(machine_->kernel(), t, burst, gap, repeats);
     return t;
   }
 
-  std::unique_ptr<Machine> machine_;
+  Workers workers_;
+  std::unique_ptr<SimulationContext> machine_;
   std::unique_ptr<Enclave> enclave_;
   std::unique_ptr<AgentProcess> process_;
   WorkStealingPolicy* policy_ = nullptr;

@@ -2,7 +2,7 @@
 // load generation, batch apps, Snap, the VM workload.
 #include <gtest/gtest.h>
 
-#include "src/ghost/machine.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/batch.h"
 #include "src/workloads/request_service.h"
 #include "src/workloads/rocksdb.h"
@@ -122,7 +122,7 @@ TEST(ServiceModelTest, ExponentialMean) {
 // --- ThreadPoolServer ---------------------------------------------------------------
 
 TEST(ThreadPoolServerTest, CompletesAllRequestsAndConservesWork) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   ThreadPoolServer server(&m.kernel(), {.num_workers = 8});
   for (int i = 0; i < 100; ++i) {
     server.Submit(m.now(), Microseconds(50));
@@ -139,7 +139,7 @@ TEST(ThreadPoolServerTest, CompletesAllRequestsAndConservesWork) {
 }
 
 TEST(ThreadPoolServerTest, QueuesWhenPoolExhausted) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   ThreadPoolServer server(&m.kernel(), {.num_workers = 2});
   for (int i = 0; i < 10; ++i) {
     server.Submit(m.now(), Milliseconds(1));
@@ -152,7 +152,7 @@ TEST(ThreadPoolServerTest, QueuesWhenPoolExhausted) {
 }
 
 TEST(ThreadPoolServerTest, DropsBeyondMaxPending) {
-  Machine m(Topology::Make("t", 1, 1, 1, 1));
+  SimulationContext m({.topology = Topology::Make("t", 1, 1, 1, 1)});
   ThreadPoolServer server(&m.kernel(), {.num_workers = 1, .max_pending = 5});
   for (int i = 0; i < 20; ++i) {
     server.Submit(m.now(), Milliseconds(1));
@@ -165,7 +165,7 @@ TEST(ThreadPoolServerTest, DropsBeyondMaxPending) {
 // --- BatchApp --------------------------------------------------------------------------
 
 TEST(BatchAppTest, SoaksIdleCpus) {
-  Machine m(Topology::Make("t", 1, 4, 1, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 1, 4)});
   BatchApp batch(&m.kernel(), {.num_threads = 4});
   batch.Start();
   batch.MarkWindow();
@@ -175,7 +175,7 @@ TEST(BatchAppTest, SoaksIdleCpus) {
 }
 
 TEST(BatchAppTest, WindowAccounting) {
-  Machine m(Topology::Make("t", 1, 2, 1, 2));
+  SimulationContext m({.topology = Topology::Make("t", 1, 2, 1, 2)});
   BatchApp batch(&m.kernel(), {.num_threads = 2});
   batch.Start();
   m.RunFor(Milliseconds(10));
@@ -189,7 +189,7 @@ TEST(BatchAppTest, WindowAccounting) {
 // --- Snap --------------------------------------------------------------------------------
 
 TEST(SnapTest, AllMessagesCompleteUnderCfs) {
-  Machine m(Topology::Make("t", 1, 8, 2, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 2, 8)});
   SnapSystem snap(&m.kernel(), {.msgs_per_sec_per_flow = 2000, .seed = 3});
   snap.Start(Milliseconds(200));
   m.RunFor(Milliseconds(250));
@@ -202,7 +202,7 @@ TEST(SnapTest, AllMessagesCompleteUnderCfs) {
 }
 
 TEST(SnapTest, LargeMessagesSlowerThanSmall) {
-  Machine m(Topology::Make("t", 1, 8, 2, 8));
+  SimulationContext m({.topology = Topology::Make("t", 1, 8, 2, 8)});
   SnapSystem snap(&m.kernel(), {.msgs_per_sec_per_flow = 2000, .seed = 4});
   snap.Start(Milliseconds(200));
   m.RunFor(Milliseconds(250));
@@ -212,7 +212,7 @@ TEST(SnapTest, LargeMessagesSlowerThanSmall) {
 // --- VmWorkload ------------------------------------------------------------------------------
 
 TEST(VmWorkloadTest, CookiesGroupVcpusByVm) {
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   VmWorkload vms(&m.kernel(), {.num_vms = 3, .vcpus_per_vm = 2});
   ASSERT_EQ(vms.vcpus().size(), 6u);
   EXPECT_EQ(vms.CookieOf(vms.vcpus()[0]->tid()), vms.CookieOf(vms.vcpus()[1]->tid()));
@@ -221,7 +221,7 @@ TEST(VmWorkloadTest, CookiesGroupVcpusByVm) {
 }
 
 TEST(VmWorkloadTest, CompletesExactWork) {
-  Machine m(Topology::Make("t", 1, 4, 2, 4));
+  SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
   VmWorkload vms(&m.kernel(),
                  {.num_vms = 2, .vcpus_per_vm = 2, .work_per_vcpu = Milliseconds(10)});
   vms.Start();
