@@ -282,6 +282,7 @@ void Cluster::RunFleet() {
       }
     });
     network_->FlushAtBarrier();
+    ++epochs_;
     if (next_cut < link_cuts_.size() && link_cuts_[next_cut] == next) {
       apply_link_events_at(next);
       ++next_cut;

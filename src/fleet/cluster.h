@@ -48,6 +48,9 @@ class Cluster {
   scenario::ScenarioResult Run();
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
+  // Lockstep epochs Run() has advanced through (0 on the degenerate
+  // one-node path). Hardware-free: it depends on the spec only.
+  int64_t epochs() const { return epochs_; }
 
  private:
   void BuildFleet();
@@ -82,6 +85,7 @@ class Cluster {
   int64_t response_bytes_ = 0;
   // Sorted unique times at which link state changes (extra epoch cuts).
   std::vector<Time> link_cuts_;
+  int64_t epochs_ = 0;
 };
 
 }  // namespace fleet

@@ -236,6 +236,26 @@ TEST(ClusterTest, ResultIsByteIdenticalSerialVsJobs) {
   }
 }
 
+// The epoch count is a hardware-free work count: the spec alone fixes it.
+// Link events cut the run into segments of ceil(segment / 50 us) epochs each.
+// kFleetSpec runs 17 ms uncut: 340 epochs. Cuts at 4.01 and 4.5 ms give
+// ceil(4.01 / 0.05) + ceil(0.49 / 0.05) + ceil(12.5 / 0.05) = 81 + 10 + 250.
+TEST(ClusterTest, EpochCountIsFixedBySpecForAnyJobs) {
+  scenario::ScenarioSpec spec = ParseSpec(kFleetSpec);
+  scenario::ScenarioSpec cut = spec;
+  scenario::FleetEventSpec down{4.01, "link_down", 1};
+  scenario::FleetEventSpec up{4.5, "link_up", 1};
+  cut.fleet->plan = {down, up};
+  for (int jobs : {1, 4}) {
+    fleet::Cluster plain(spec, nullptr, jobs);
+    plain.Run();
+    EXPECT_EQ(plain.epochs(), 340) << "jobs=" << jobs;
+    fleet::Cluster with_cut(cut, nullptr, jobs);
+    with_cut.Run();
+    EXPECT_EQ(with_cut.epochs(), 341) << "jobs=" << jobs;
+  }
+}
+
 TEST(ClusterTest, RepeatedRunsAreByteIdentical) {
   const scenario::ScenarioSpec spec = ParseSpec(kFleetSpec);
   const std::string first =

@@ -5,13 +5,19 @@
 // share nothing, so a data-race report here means a global leaked back in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/policies/per_cpu_fifo.h"
+#include "src/scenario/registry.h"
+#include "src/scenario/scenario_runner.h"
 #include "src/sim/batch_runner.h"
 #include "src/sim/simulation.h"
 #include "src/verify/invariants.h"
@@ -182,6 +188,106 @@ TEST(BatchRunnerTest, LowestIndexedExceptionWins) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom 3");
   }
+}
+
+// ---- BatchRunner persistent pool ---------------------------------------------
+
+// A fleet calls Run once per lockstep epoch on one runner, thousands of times
+// a run. Every call must still run each of its indices exactly once, and the
+// pool must stay the same few threads rather than grow.
+TEST(BatchRunnerTest, ReusedRunnerRunsEveryIndexOnceAcrossManyRuns) {
+  constexpr int kCalls = 10000;
+  constexpr int kMaxRuns = 13;
+  const BatchRunner runner(4);
+  std::mutex ids_mu;
+  std::set<std::thread::id> ids;
+  for (int call = 0; call < kCalls; ++call) {
+    // 1..kMaxRuns indices: fewer, equal to and more than the 4 workers.
+    const int num_runs = 1 + call % kMaxRuns;
+    std::vector<int> counts(kMaxRuns, 0);
+    runner.Run(num_runs, [&](int i) {
+      ++counts[i];
+      if (call % 1000 == 0) {
+        std::lock_guard<std::mutex> lock(ids_mu);
+        ids.insert(std::this_thread::get_id());
+      }
+    });
+    for (int i = 0; i < kMaxRuns; ++i) {
+      ASSERT_EQ(counts[i], i < num_runs ? 1 : 0) << "call " << call << " index " << i;
+    }
+  }
+  EXPECT_LE(ids.size(), 4u);
+}
+
+TEST(BatchRunnerTest, CleanRunAfterAThrowingRunSeesNoStaleException) {
+  const BatchRunner runner(4);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_THROW(runner.Run(16,
+                            [](int i) {
+                              if (i == 5) {
+                                throw std::runtime_error("boom");
+                              }
+                            }),
+                 std::runtime_error);
+    std::vector<int> counts(16, 0);
+    EXPECT_NO_THROW(runner.Run(16, [&](int i) { ++counts[i]; }));
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(counts[i], 1) << "round " << round << " index " << i;
+    }
+  }
+}
+
+TEST(BatchRunnerTest, MoreJobsThanRunsOrHardwareThreads) {
+  const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (int jobs : {8, 4 * hw + 3}) {
+    const BatchRunner runner(jobs);
+    for (int num_runs : {2, 7, 3 * jobs + 1}) {
+      std::vector<int> counts(static_cast<size_t>(num_runs), 0);
+      runner.Run(num_runs, [&](int i) { ++counts[i]; });
+      for (int i = 0; i < num_runs; ++i) {
+        EXPECT_EQ(counts[i], 1) << "jobs " << jobs << " runs " << num_runs
+                                << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(BatchRunnerTest, IdlePoolJoinsPromptlyOnDestruction) {
+  auto runner = std::make_unique<BatchRunner>(4);
+  runner->Run(8, [](int) {});
+  // Long past the spin budget: every helper is blocked, not spinning.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  runner.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+// Seed sweeps can wrap a fleet: an outer runner's bodies each drive a
+// cluster whose own runner fans its epochs out. Four 4-job fleets on a
+// 4-job outer pool oversubscribe any small host; each must still match the
+// serial run byte for byte.
+TEST(BatchRunnerTest, NestedFleetRunnersMatchSerial) {
+  const scenario::ScenarioSpec spec =
+      scenario::GetBuiltinScenario("fleet_overload_brownout");
+  const std::string serial =
+      scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 1));
+  const std::vector<std::string> nested = BatchRunner(4).Map<std::string>(
+      4, [&spec](int) {
+        return scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 4));
+      });
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(nested[i], serial) << "outer run " << i;
+  }
+}
+
+TEST(BatchRunnerDeathTest, ReentrantRunChecks) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const BatchRunner runner(2);
+        runner.Run(4, [&runner](int) { runner.Run(1, [](int) {}); });
+      },
+      "not re-entrant");
 }
 
 // The stress battery: many full machine runs across a pool, every outcome
