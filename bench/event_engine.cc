@@ -11,13 +11,16 @@
 // Every workload runs on both engines from the same seed; the (now, tag)
 // firing sequences are FNV-hashed and must match exactly — a mismatch is a
 // determinism bug and the binary exits non-zero. Wall-clock events/sec and
-// the wheel/reference speedup are reported through the schema-v1 harness.
+// the wheel/reference speedup are reported through the schema-v1 harness,
+// and the wheel's work counts (summed over the workloads) fill the result
+// file's "layers" block.
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/harness.h"
@@ -43,7 +46,20 @@ struct RunResult {
   uint64_t events = 0;
   double seconds = 0;
   uint64_t checksum = kFnvOffset;
+  EventLoopCounters counters;  // the wheel's; zero for the reference heap
 };
+
+template <typename Loop>
+RunResult Finished(const Loop& loop, double seconds, uint64_t checksum) {
+  RunResult r;
+  r.seconds = seconds;
+  r.events = loop.executed_count();
+  r.checksum = checksum;
+  if constexpr (std::is_same_v<Loop, EventLoop>) {
+    r.counters = loop.counters();
+  }
+  return r;
+}
 
 class WallTimer {
  public:
@@ -114,11 +130,7 @@ RunResult RunMixed(uint64_t seed, uint64_t target) {
     st.SpawnChain();
   }
   st.loop.RunUntilIdle();
-  RunResult r;
-  r.seconds = timer.Elapsed();
-  r.events = st.loop.executed_count();
-  r.checksum = st.checksum;
-  return r;
+  return Finished(st.loop, timer.Elapsed(), st.checksum);
 }
 
 // ---- periodic-heavy ----------------------------------------------------
@@ -145,11 +157,7 @@ RunResult RunPeriodicHeavy(uint64_t seed, int timers, uint64_t target) {
   for (EventId id : ids) {
     loop.Cancel(id);
   }
-  RunResult r;
-  r.seconds = timer.Elapsed();
-  r.events = loop.executed_count();
-  r.checksum = checksum;
-  return r;
+  return Finished(loop, timer.Elapsed(), checksum);
 }
 
 // ---- tick storm --------------------------------------------------------
@@ -183,11 +191,7 @@ RunResult RunTickStorm(int cpus, Duration virtual_span) {
                              [&st, cpu] { st.Tick(cpu); });
   }
   st.loop.RunUntil(virtual_span);
-  RunResult r;
-  r.seconds = timer.Elapsed();
-  r.events = st.loop.executed_count();
-  r.checksum = st.checksum;
-  return r;
+  return Finished(st.loop, timer.Elapsed(), st.checksum);
 }
 
 // ---- driver ------------------------------------------------------------
@@ -210,6 +214,7 @@ bool Report(bench::Run& run, std::vector<WorkloadResult>& results) {
                    w.reference.events, w.reference.checksum);
       ok = false;
     }
+    w.wheel.counters.ExportTo(&run.stats());
     for (const char* engine : {"wheel", "reference"}) {
       const RunResult& r =
           engine == std::string("wheel") ? w.wheel : w.reference;

@@ -339,6 +339,8 @@ void Harness::AppendRunBlocks(JsonWriter& w, const Run& run,
   w.EndObject();
   w.Key("stats");
   run.stats_.AppendJson(w);
+  w.Key("layers");
+  run.stats_.AppendLayersJson(w);
 }
 
 void Harness::AppendAggregateBlocks(JsonWriter& w) const {
@@ -385,6 +387,8 @@ void Harness::AppendAggregateBlocks(JsonWriter& w) const {
     merged.MergeFrom(run->stats_);
   }
   merged.AppendJson(w);
+  w.Key("layers");
+  merged.AppendLayersJson(w);
 }
 
 int Harness::WriteJsonFile(const std::string& path,
@@ -490,7 +494,15 @@ int Harness::Finish() {
   }
 
   if (exporter_ != nullptr) {
-    if (!exporter_->WriteFile(trace_path_)) {
+    if (exporter_->num_events() == 0) {
+      // Nothing attached a traced machine (or it recorded nothing): an empty
+      // trace file would look like a successful trace of an idle run.
+      std::fprintf(stderr,
+                   "%s: --trace-out=%s would write 0 events: this run traces "
+                   "no machine\n",
+                   name_.c_str(), trace_path_.c_str());
+      rc = 1;
+    } else if (!exporter_->WriteFile(trace_path_)) {
       rc = 1;
     } else {
       std::fprintf(stderr, "wrote %s (%zu events)\n", trace_path_.c_str(),

@@ -10,7 +10,9 @@
 //   --jobs=<N>          worker threads for the repetitions (0 = one per
 //                       hardware thread; default 1)
 //   --scale=quick|paper run a CI-sized subset or the full paper-scale sweep
-//   --trace-out=<path>  write a Chrome-trace/Perfetto JSON of the run
+//   --trace-out=<path>  write a Chrome-trace/Perfetto JSON of the run; a run
+//                       that would write 0 events (no machine attached the
+//                       exporter) writes nothing and exits non-zero
 //   --wall-clock        record a "wall_clock_s" metric in the result file
 //                       (off by default: wall time is nondeterministic, and
 //                       several CI gates byte-compare result files)
@@ -26,15 +28,21 @@
 //     "series": [{<one row per sweep point>}, ...],
 //     "metrics": {<scalar name: value>},
 //     "histograms": {<name>: {count,min,max,mean,p50,...}},
-//     "stats": {<StatsRegistry snapshot>}
+//     "stats": {<StatsRegistry snapshot>},
+//     "layers": {<hardware-free work counts, e.g. "sim.cascade_reinserts">}
 //   }
+//
+// "layers" sums the work counts of every EventLoop the run built (its
+// SimulationContexts export them on destruction; see EventLoopCounters).
+// They depend only on the simulated program, so runs compare them exactly.
 //
 // With --seeds=N (N > 1) every seed writes its own standalone file of the
 // schema above — the --json path with ".seed<SEED>" spliced in before the
 // extension — and the --json path itself receives an aggregate document:
 // same schema, plus "seeds"/"jobs" keys, a seed column prefixed onto every
 // series row, per-run metrics/histograms suffixed "{seed=N}", a
-// "wall_clock_s" metric, and the per-run stats registries merged. Per-seed
+// "wall_clock_s" metric, and the per-run stats registries (layers included)
+// merged. Per-seed
 // files depend only on the seed, never on --jobs: a parallel sweep is
 // byte-identical to a serial one.
 //
@@ -198,8 +206,8 @@ class Harness {
   ChromeTraceExporter* trace_exporter() { return exporter_.get(); }
 
   // Writes the result file(s) (--json) and the trace (--trace-out). Returns
-  // the process exit code (non-zero on I/O failure). Call once, at the end
-  // of main.
+  // the process exit code (non-zero on I/O failure or an empty trace). Call
+  // once, at the end of main.
   int Finish();
 
  private:

@@ -2,6 +2,7 @@
 // Usage: validate_bench_json <result.json>...
 // Exits non-zero (listing the problems) if any file fails validation; CI
 // runs this over the smoke-bench artifacts.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -79,6 +80,18 @@ void Validate(const std::string& file, std::vector<std::string>& errors) {
       const JsonValue* sub = stats->Find(block);
       Check(sub != nullptr && sub->is_object(), file,
             std::string("stats.") + block + " missing or not an object", errors);
+    }
+  }
+
+  // Hardware-free work counts: an object of non-negative integers (empty
+  // for a benchmark that runs no event loop).
+  const JsonValue* layers = doc->Find("layers");
+  if (Check(layers != nullptr && layers->is_object(), file,
+            "layers missing or not an object", errors)) {
+    for (const auto& [key, value] : layers->object) {
+      Check(value.is_number() && value.number >= 0 &&
+                std::floor(value.number) == value.number,
+            file, "layers." + key + " is not a non-negative integer", errors);
     }
   }
 }

@@ -24,12 +24,8 @@ std::optional<Message> AgentContext::Pop(MessageQueue* queue) {
 
 int AgentContext::Drain(MessageQueue* queue, std::vector<Message>* out, int max) {
   int count = 0;
-  while (count < max) {
-    std::optional<Message> msg = Pop(queue);
-    if (!msg.has_value()) {
-      break;
-    }
-    out->push_back(*msg);
+  while (count < max && enclave_->PopMessageInto(queue, out)) {
+    cost_ += kernel_->cost().msg_dequeue;
     ++count;
   }
   return count;

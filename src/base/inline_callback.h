@@ -9,10 +9,18 @@
 // below is the proof that no schedule site in the tree allocates. If you hit
 // it, either shrink the capture (capture a pointer to long-lived state rather
 // than copies) or, as a last resort, bump kCapacity.
+//
+// Relocation: a callable that is trivially copyable and trivially
+// destructible (every `[this, cpu]`-style lambda over pointers and integers)
+// is byte-relocatable. Moving it copies the storage bytes, and dropping it
+// does nothing: it has no manager, so neither path makes an indirect call.
+// Only callables that own something (a shared_ptr, a std::function) pay for
+// a manager call on move and on destruction.
 #ifndef GHOST_SIM_SRC_BASE_INLINE_CALLBACK_H_
 #define GHOST_SIM_SRC_BASE_INLINE_CALLBACK_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -28,6 +36,13 @@ class InlineFunction<R(Args...)> {
   // Sized to cover the largest capture in the tree (the fuzz-test chaos
   // lambda, 10 captured words) with a little headroom.
   static constexpr size_t kCapacity = 96;
+
+  // True iff a callable of type F is relocated by byte copy and destroyed
+  // without a call (see the file comment).
+  template <typename F>
+  static constexpr bool kByteRelocatable =
+      std::is_trivially_copyable_v<std::decay_t<F>> &&
+      std::is_trivially_destructible_v<std::decay_t<F>>;
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -51,7 +66,9 @@ class InlineFunction<R(Args...)> {
                   "when the owning slab grows)");
     new (storage_) Fn(std::forward<F>(fn));
     invoke_ = &InvokeImpl<Fn>;
-    manage_ = &ManageImpl<Fn>;
+    if constexpr (!kByteRelocatable<Fn>) {
+      manage_ = &ManageImpl<Fn>;
+    }
   }
 
   InlineFunction(InlineFunction&& other) noexcept { MoveFrom(other); }
@@ -70,6 +87,11 @@ class InlineFunction<R(Args...)> {
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
+  // True iff this holds a byte-relocatable callable (kByteRelocatable).
+  bool byte_relocatable() const {
+    return invoke_ != nullptr && manage_ == nullptr;
+  }
+
   // Const like std::function: the held callable is logically part of the
   // function value, and call sites pass `const InlineFunction&` through
   // plumbing that never reassigns it.
@@ -82,8 +104,8 @@ class InlineFunction<R(Args...)> {
     if (manage_ != nullptr) {
       manage_(Op::kDestroy, storage_, nullptr);
       manage_ = nullptr;
-      invoke_ = nullptr;
     }
+    invoke_ = nullptr;
   }
 
  private:
@@ -111,6 +133,8 @@ class InlineFunction<R(Args...)> {
     manage_ = other.manage_;
     if (manage_ != nullptr) {
       manage_(Op::kMoveAndDestroy, other.storage_, storage_);
+    } else if (invoke_ != nullptr) {
+      std::memcpy(storage_, other.storage_, kCapacity);
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;

@@ -3,6 +3,11 @@
 // CHECK* macros abort on failure and are always on; they guard simulator
 // invariants whose violation would silently corrupt an experiment. LOG(INFO)
 // writes to stderr and can be silenced with SetLogLevel().
+//
+// The failure path is cold: CHECK predicts its condition true, and
+// LogMessage's constructor is marked cold, so the compiler moves message
+// formatting out of line and a small checked accessor (CpuMask bounds,
+// Topology::cpu) stays cheap enough to inline.
 #ifndef GHOST_SIM_SRC_BASE_LOGGING_H_
 #define GHOST_SIM_SRC_BASE_LOGGING_H_
 
@@ -23,7 +28,7 @@ namespace log_internal {
 
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  [[gnu::cold]] LogMessage(LogLevel level, const char* file, int line);
   ~LogMessage();
 
   std::ostream& stream() { return stream_; }
@@ -55,12 +60,13 @@ struct Voidify {
   ::gs::log_internal::LogMessage(GS_LOG_LEVEL_##severity, __FILE__, __LINE__).stream()
 
 #define CHECK(cond)                                                     \
-  (cond) ? (void)0                                                      \
-         : ::gs::log_internal::Voidify() &                              \
-               ::gs::log_internal::LogMessage(::gs::LogLevel::kFatal,   \
-                                              __FILE__, __LINE__)       \
-                   .stream()                                            \
-               << "Check failed: " #cond " "
+  __builtin_expect(static_cast<bool>(cond), 1)                          \
+      ? (void)0                                                         \
+      : ::gs::log_internal::Voidify() &                                 \
+            ::gs::log_internal::LogMessage(::gs::LogLevel::kFatal,      \
+                                           __FILE__, __LINE__)          \
+                .stream()                                               \
+            << "Check failed: " #cond " "
 
 #define CHECK_OP(a, b, op) CHECK((a)op(b)) << "(" << (a) << " vs " << (b) << ") "
 #define CHECK_EQ(a, b) CHECK_OP(a, b, ==)

@@ -29,6 +29,17 @@ class RingDeque {
     ++size_;
   }
 
+  // Grows the deque by one at the back and returns the new slot without
+  // assigning it, for the caller to fill in place. The slot holds whatever
+  // it last held: a default T, or for a trivially destructible T the bytes
+  // of an element popped earlier (see Vacate).
+  T& append_back() {
+    GrowIfFull();
+    T& slot = slots_[(head_ + size_) & mask_];
+    ++size_;
+    return slot;
+  }
+
   void push_front(T value) {
     GrowIfFull();
     head_ = (head_ + mask_) & mask_;  // head - 1, wrapped

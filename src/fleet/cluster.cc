@@ -335,9 +335,13 @@ void Cluster::CollectFleet(scenario::ScenarioResult* result) {
     machines_[m]->CollectFleet(result, m);
   }
   if (stats_ != nullptr) {
+    // Machines own their registries, so their loops' work counts go
+    // straight to the harness registry, front end included.
     for (const std::unique_ptr<MachineSim>& machine : machines_) {
       stats_->MergeFrom(machine->stats());
+      machine->loop().counters().ExportTo(stats_);
     }
+    frontend_loop_->counters().ExportTo(stats_);
   }
 }
 

@@ -283,7 +283,7 @@ bool Enclave::AssociateQueue(int64_t tid, MessageQueue* queue) {
 }
 
 void Enclave::ConfigQueueWakeup(MessageQueue* queue, Task* agent) {
-  queue->set_wakeup_agent(agent);
+  queue->set_wakeup_agent(agent, agent == nullptr ? nullptr : &StatusFor(agent));
 }
 
 void Enclave::SetCpuQueue(int cpu, MessageQueue* queue) {
@@ -295,15 +295,30 @@ void Enclave::SetCpuQueue(int cpu, MessageQueue* queue) {
 std::optional<Message> Enclave::PopMessage(MessageQueue* queue) {
   std::optional<Message> msg = queue->Pop();
   if (msg.has_value()) {
-    stat_msg_deliver_->Inc();
+    NoteDelivered(msg->tid);
   }
-  if (msg.has_value() && msg->tid != 0) {
-    GhostTask* gt = Find(msg->tid);
+  return msg;
+}
+
+bool Enclave::PopMessageInto(MessageQueue* queue, std::vector<Message>* out) {
+  const Message* front = queue->Peek();
+  if (front == nullptr) {
+    return false;
+  }
+  out->push_back(*front);
+  queue->PopFront();
+  NoteDelivered(out->back().tid);
+  return true;
+}
+
+void Enclave::NoteDelivered(int64_t tid) {
+  stat_msg_deliver_->Inc();
+  if (tid != 0) {
+    GhostTask* gt = Find(tid);
     if (gt != nullptr && gt->pending_msgs > 0) {
       --gt->pending_msgs;
     }
   }
-  return msg;
 }
 
 void Enclave::FlushAllQueues() {
@@ -329,7 +344,7 @@ void Enclave::ResetQueueRouting() {
   for (MessageQueue*& queue : cpu_queues_) {
     queue = nullptr;
   }
-  default_queue_->set_wakeup_agent(nullptr);
+  default_queue_->set_wakeup_agent(nullptr, nullptr);
   queues_.erase(std::remove_if(queues_.begin(), queues_.end(),
                                [this](const std::unique_ptr<MessageQueue>& q) {
                                  return q.get() != default_queue_;
@@ -347,19 +362,14 @@ void Enclave::Post(GhostTask* gt, MessageType type, int cpu) {
   if (destroyed_) {
     return;
   }
-  Message msg;
-  msg.type = type;
-  msg.cpu = cpu;
-  msg.posted = kernel_->now();
+  const Time now = kernel_->now();
   MessageQueue* queue = default_queue_;
+  int64_t tid = 0;
   if (gt != nullptr) {
-    msg.tid = gt->task->tid();
+    tid = gt->task->tid();
     // Tseq advances whether or not the message survives: a dropped message
     // leaves a detectable gap, exactly like the real uAPI's sequence numbers.
-    msg.tseq = ++gt->tseq;
-    gt->status.tseq = gt->tseq;
-    msg.affinity = gt->task->affinity();
-    msg.runnable = gt->status.runnable;
+    gt->status.tseq = ++gt->tseq;
     queue = gt->queue;
   } else if (cpu >= 0 && cpu < static_cast<int>(cpu_queues_.size()) &&
              cpu_queues_[cpu] != nullptr) {
@@ -372,11 +382,11 @@ void Enclave::Post(GhostTask* gt, MessageType type, int cpu) {
   // resync from TaskDump() + FlushAllQueues(); the kernel dump supersedes
   // the lost message history.
   FaultInjector* injector = kernel_->fault_injector();
-  bool dropped = injector != nullptr && injector->OnMessagePost(queue->id(), msg.tid);
-  if (!dropped) {
-    dropped = !queue->Push(msg);
+  Message* msg = nullptr;
+  if (injector == nullptr || !injector->OnMessagePost(queue->id(), tid)) {
+    msg = queue->Append();
   }
-  if (dropped) {
+  if (msg == nullptr) {
     queue->NoteOverflow();
     ++messages_dropped_;
     stat_msg_drop_->Inc();
@@ -384,16 +394,29 @@ void Enclave::Post(GhostTask* gt, MessageType type, int cpu) {
     if (gt != nullptr) {
       gt->resync = true;
     }
-    kernel_->trace().Record(kernel_->now(), TraceEventType::kMsgDrop, cpu,
-                            msg.tid, static_cast<int64_t>(type));
+    kernel_->trace().Record(now, TraceEventType::kMsgDrop, cpu, tid,
+                            static_cast<int64_t>(type));
   } else {
+    // Built in place in the ring; the slot holds a stale message, so every
+    // field is written.
+    msg->type = type;
+    msg->tid = tid;
+    msg->cpu = cpu;
+    msg->posted = now;
     if (gt != nullptr) {
+      msg->tseq = gt->tseq;
+      msg->affinity = gt->task->affinity();
+      msg->runnable = gt->status.runnable;
       ++gt->pending_msgs;
+    } else {
+      msg->tseq = 0;
+      msg->affinity = CpuMask();
+      msg->runnable = false;
     }
     ++messages_posted_;
     stat_msg_post_[static_cast<int>(type)]->Inc();
-    kernel_->trace().Record(kernel_->now(), TraceEventType::kMessage, cpu,
-                            msg.tid, static_cast<int64_t>(type));
+    kernel_->trace().Record(now, TraceEventType::kMessage, cpu, tid,
+                            static_cast<int64_t>(type));
   }
 
   // Aseq bookkeeping + consumer notification. A dropped message still wakes
@@ -405,7 +428,7 @@ void Enclave::Post(GhostTask* gt, MessageType type, int cpu) {
     // contents no longer reflect the world, so any in-flight commit built on
     // the pre-drop view must fail kEStale rather than act on a stale task
     // set. (The drop itself is surfaced via the overflow/resync flags.)
-    ++StatusFor(agent).aseq;
+    ++queue->wakeup_status()->aseq;
     if (agent->state() == TaskState::kBlocked) {
       // Batched delivery: messages landing on this queue within one dispatch
       // batch (same virtual instant, same wakeup delay) share one wakeup

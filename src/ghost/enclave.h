@@ -111,6 +111,8 @@ class Enclave {
   // Consumer side: pops one message, maintaining per-task pending counts and
   // the Aseq bookkeeping. (AgentContext charges the dequeue cost.)
   std::optional<Message> PopMessage(MessageQueue* queue);
+  // Same, appending the message straight to `out`; false if `queue` is empty.
+  bool PopMessageInto(MessageQueue* queue, std::vector<Message>* out);
 
   // Discards every undrained message in every queue. Used at agent takeover
   // (§3.4): the kernel's TaskDump() supersedes pre-crash message history, so
@@ -231,6 +233,8 @@ class Enclave {
   // Posts a message about `gt` (or a CPU message when gt == nullptr) to the
   // right queue; bumps Tseq/Aseq; wakes or pokes the consumer.
   void Post(GhostTask* gt, MessageType type, int cpu);
+  // Consumer-side bookkeeping for one popped message about `tid`.
+  void NoteDelivered(int64_t tid);
   TxnStatus Validate(const Transaction& txn, Task* agent);
   void Latch(Transaction* txn, Task* agent, Duration delay);
   // Deliver phase of a synchronized group commit: enables / announces a

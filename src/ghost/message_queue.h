@@ -21,6 +21,7 @@
 namespace gs {
 
 class Task;
+struct AgentStatusWord;
 
 class MessageQueue {
  public:
@@ -28,13 +29,14 @@ class MessageQueue {
 
   int id() const { return id_; }
 
-  // Returns false, leaving the queue unchanged, if it is full.
-  bool Push(const Message& msg) {
+  // Producer side, built in place: the new back slot for the caller to fill
+  // in, or nullptr (queue unchanged) if the queue is full. The slot holds
+  // stale bytes of an earlier message, so every field must be written.
+  Message* Append() {
     if (ring_.size() >= capacity_) {
-      return false;
+      return nullptr;
     }
-    ring_.push_back(msg);
-    return true;
+    return &ring_.append_back();
   }
   std::optional<Message> Pop() {
     if (ring_.empty()) {
@@ -44,15 +46,22 @@ class MessageQueue {
     ring_.pop_front();
     return msg;
   }
+  // Drops the front message (the queue must not be empty).
+  void PopFront() { ring_.pop_front(); }
   const Message* Peek() const { return ring_.empty() ? nullptr : &ring_.front(); }
   size_t size() const { return ring_.size(); }
   bool empty() const { return ring_.empty(); }
   size_t capacity() const { return capacity_; }
 
   // CONFIG_QUEUE_WAKEUP target: agent woken when a message lands while it is
-  // blocked. nullptr = no wakeup (polled queue).
+  // blocked. nullptr = no wakeup (polled queue). The agent's status word is
+  // cached with it, so a post bumps the Aseq without a lookup.
   Task* wakeup_agent() const { return wakeup_agent_; }
-  void set_wakeup_agent(Task* agent) { wakeup_agent_ = agent; }
+  AgentStatusWord* wakeup_status() const { return wakeup_status_; }
+  void set_wakeup_agent(Task* agent, AgentStatusWord* status) {
+    wakeup_agent_ = agent;
+    wakeup_status_ = status;
+  }
 
   // A message aimed at this queue was dropped (ring full or injected
   // overflow pressure). The consumer's view of the affected threads is now
@@ -76,6 +85,7 @@ class MessageQueue {
   const size_t capacity_;
   RingDeque<Message> ring_;
   Task* wakeup_agent_ = nullptr;
+  AgentStatusWord* wakeup_status_ = nullptr;
   uint64_t overflows_ = 0;
   Time armed_wakeup_at_ = -1;
 };

@@ -3,21 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/stats/stats.h"
+
 namespace gs {
 
-namespace {
-
-// Highest set bit / kLevelBits; level 0 for delta == 0.
-inline int LevelForDelta(uint64_t delta) {
-  if (delta == 0) {
-    return 0;
-  }
-  return (63 - __builtin_clzll(delta)) / 6;
-}
-
-}  // namespace
-
 EventLoop::EventLoop() { buckets_.fill(kNil); }
+
+void EventLoopCounters::ExportTo(StatsRegistry* stats) const {
+  stats->AddLayerCount("sim.events_scheduled", scheduled);
+  stats->AddLayerCount("sim.zero_delay_appends", zero_delay_appends);
+  stats->AddLayerCount("sim.wheel_inserts", wheel_inserts);
+  stats->AddLayerCount("sim.cascade_reinserts", cascade_reinserts);
+  stats->AddLayerCount("sim.buckets_collected", buckets_collected);
+  stats->AddLayerCount("sim.singleton_fires", singleton_fires);
+}
 
 uint32_t EventLoop::AllocSlot() {
   if (free_head_ != kNil) {
@@ -27,12 +26,14 @@ uint32_t EventLoop::AllocSlot() {
   }
   CHECK_LT(slots_.size(), static_cast<size_t>(kNil)) << "event slab exhausted";
   slots_.emplace_back();
+  payloads_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
+// The slot's callback must already be empty (moved out to fire, or Reset by
+// Cancel).
 void EventLoop::FreeSlot(uint32_t idx) {
-  EventSlot& s = slots_[idx];
-  s.fn.Reset();  // release captures promptly (shared_ptr chains etc.)
+  SlotHeader& s = slots_[idx];
   if (++s.gen == 0) {
     s.gen = 1;  // keep MakeId(0, gen) != kInvalidEventId
   }
@@ -43,24 +44,29 @@ void EventLoop::FreeSlot(uint32_t idx) {
 }
 
 EventId EventLoop::ScheduleInternal(Time when, Duration period,
-                                    InlineCallback fn, uint64_t tag) {
+                                    InlineCallback&& fn, uint64_t tag) {
   CHECK_GE(when, now_) << "cannot schedule into the past";
   const uint32_t idx = AllocSlot();
-  EventSlot& s = slots_[idx];
+  SlotPayload& p = payloads_[idx];
+  p.fn = std::move(fn);
+  p.period = period;
+  p.tag = tag;
+  SlotHeader& s = slots_[idx];
   s.when = when;
   s.seq = next_seq_++;
-  s.tag = tag;
-  s.period = period;
   s.cancel_while_firing = false;
-  s.fn = std::move(fn);
   ++pending_count_;
-  if (!ready_.empty() && when == ready_time_) {
-    // The bucket for `when` is the one being fired right now; append so the
-    // new event (highest seq) runs after the bucket's remaining events.
+  ++counters_.scheduled;
+  if (when == ready_time_) {
+    // The bucket for `when` has already left the wheel (collected, or fired
+    // as a singleton), so no event for this instant is in the wheel; append
+    // so the new event (highest seq) runs after whatever is left of it.
     s.state = SlotState::kInReady;
     ready_.push_back(ReadyEntry{idx, s.gen, s.seq});
+    ++counters_.zero_delay_appends;
   } else {
     InsertIntoWheel(idx);
+    ++counters_.wheel_inserts;
   }
   return MakeId(idx, s.gen);
 }
@@ -73,13 +79,24 @@ void EventLoop::InsertIntoWheel(uint32_t idx) {
     // would undo the cascade's progress.
     wheel_time_ = now_;
   }
-  EventSlot& s = slots_[idx];
-  const uint64_t delta =
-      static_cast<uint64_t>(s.when) ^ static_cast<uint64_t>(wheel_time_);
-  const int level = LevelForDelta(delta);
-  const int slot =
-      static_cast<int>((s.when >> (kLevelBits * level)) & (kSlotsPerLevel - 1));
-  const int b = level * kSlotsPerLevel + slot;
+  SlotHeader& s = slots_[idx];
+  const uint64_t when = static_cast<uint64_t>(s.when);
+  const uint64_t delta = when ^ static_cast<uint64_t>(wheel_time_);
+  int b;
+  if (delta < kL0Slots) {
+    // Same 4096-aligned block as the cursor: the exact slot.
+    b = static_cast<int>(when & (kL0Slots - 1));
+    l0_occupied_[b >> 6] |= uint64_t{1} << (b & 63);
+    l0_summary_ |= uint64_t{1} << (b >> 6);
+  } else {
+    // Level L >= 1 holds deltas whose highest set bit lies in
+    // [12 + 6(L-1), 12 + 6L).
+    const int level = 1 + ((63 - __builtin_clzll(delta)) - kL0Bits) / kLevelBits;
+    const int shift = kL0Bits + kLevelBits * (level - 1);
+    const int slot = static_cast<int>((when >> shift) & (kSlotsPerLevel - 1));
+    b = kL0Slots + (level - 1) * kSlotsPerLevel + slot;
+    upper_occupied_[level - 1] |= uint64_t{1} << slot;
+  }
   s.state = SlotState::kInWheel;
   s.bucket = static_cast<uint16_t>(b);
   s.prev = kNil;
@@ -88,12 +105,32 @@ void EventLoop::InsertIntoWheel(uint32_t idx) {
     slots_[s.next].prev = idx;
   }
   buckets_[b] = idx;
-  occupied_[level] |= uint64_t{1} << slot;
   ++wheel_count_;
 }
 
+void EventLoop::MarkBucketEmpty(int b) {
+  if (b < kL0Slots) {
+    uint64_t& word = l0_occupied_[b >> 6];
+    word &= ~(uint64_t{1} << (b & 63));
+    if (word == 0) {
+      l0_summary_ &= ~(uint64_t{1} << (b >> 6));
+    }
+  } else {
+    const int upper = b - kL0Slots;
+    upper_occupied_[upper / kSlotsPerLevel] &=
+        ~(uint64_t{1} << (upper % kSlotsPerLevel));
+  }
+}
+
+uint32_t EventLoop::TakeBucket(int b) {
+  const uint32_t head = buckets_[b];
+  buckets_[b] = kNil;
+  MarkBucketEmpty(b);
+  return head;
+}
+
 void EventLoop::UnlinkFromWheel(uint32_t idx) {
-  EventSlot& s = slots_[idx];
+  SlotHeader& s = slots_[idx];
   if (s.prev != kNil) {
     slots_[s.prev].next = s.next;
   } else {
@@ -103,47 +140,77 @@ void EventLoop::UnlinkFromWheel(uint32_t idx) {
     slots_[s.next].prev = s.prev;
   }
   if (buckets_[s.bucket] == kNil) {
-    occupied_[s.bucket / kSlotsPerLevel] &=
-        ~(uint64_t{1} << (s.bucket % kSlotsPerLevel));
+    MarkBucketEmpty(s.bucket);
   }
   --wheel_count_;
 }
 
 EventLoop::WheelPos EventLoop::NextOccupiedSlot() const {
-  // Lowest occupied level wins: level L-1 events all precede the next 64^L
-  // boundary, which every occupied level-L slot starts at or after.
-  for (int level = 0; level < kLevels; ++level) {
-    const int cursor =
-        static_cast<int>((wheel_time_ >> (kLevelBits * level)) &
-                         (kSlotsPerLevel - 1));
-    const uint64_t ahead = occupied_[level] >> cursor;
-    if (ahead == 0) {
+  // Lowest occupied level wins: level L-1 events all precede the next level-L
+  // boundary, which every occupied level-L slot starts at or after. Every
+  // resident event is at or after the cursor, so no occupied slot lies
+  // behind it and the lowest set bit of a level is its next slot.
+  if (l0_summary_ != 0) {
+    const int word = __builtin_ctzll(l0_summary_);
+    const int slot = word * 64 + __builtin_ctzll(l0_occupied_[word]);
+    const Time start = static_cast<Time>(
+        (static_cast<uint64_t>(wheel_time_) & ~uint64_t{kL0Slots - 1}) |
+        static_cast<uint64_t>(slot));
+    return WheelPos{0, slot, start};
+  }
+  for (int level = 1; level <= kUpperLevels; ++level) {
+    const uint64_t occupied = upper_occupied_[level - 1];
+    if (occupied == 0) {
       continue;
     }
-    const int slot = cursor + __builtin_ctzll(ahead);
-    const int shift = kLevelBits * (level + 1);
-    const uint64_t upper_mask = shift >= 64 ? 0 : (~uint64_t{0} << shift);
+    const int slot = __builtin_ctzll(occupied);
+    const int shift = kL0Bits + kLevelBits * (level - 1);
+    const int upper_shift = shift + kLevelBits;
+    const uint64_t upper_mask =
+        upper_shift >= 64 ? 0 : (~uint64_t{0} << upper_shift);
     const Time start = static_cast<Time>(
         (static_cast<uint64_t>(wheel_time_) & upper_mask) |
-        (static_cast<uint64_t>(slot) << (kLevelBits * level)));
+        (static_cast<uint64_t>(slot) << shift));
     return WheelPos{level, slot, start};
   }
   LOG(FATAL) << "wheel_count_=" << wheel_count_ << " but no occupied slot";
   return WheelPos{-1, -1, 0};
 }
 
+bool EventLoop::AdvanceTo(const WheelPos& pos) {
+  if (pos.level > 0) {
+    CascadeSlot(pos);
+    return false;
+  }
+  if (oracle_ == nullptr && slots_[buckets_[pos.slot]].next == kNil) {
+    // Singleton bucket: nothing to order, so fire it from the wheel. Events
+    // the callback schedules for this instant join the ready list and fire
+    // next, in seq order.
+    wheel_time_ = pos.start;
+    ready_time_ = pos.start;
+    const uint32_t idx = TakeBucket(pos.slot);
+    CHECK_EQ(slots_[idx].when, pos.start) << "level-0 bucket must be exact";
+    --wheel_count_;
+    ++counters_.buckets_collected;
+    ++counters_.singleton_fires;
+    FireSlot(idx);
+    return true;
+  }
+  CollectBucket(pos);
+  return false;
+}
+
 void EventLoop::CascadeSlot(const WheelPos& pos) {
   wheel_time_ = pos.start;
-  const int b = pos.level * kSlotsPerLevel + pos.slot;
-  uint32_t head = buckets_[b];
-  buckets_[b] = kNil;
-  occupied_[pos.level] &= ~(uint64_t{1} << pos.slot);
+  uint32_t head =
+      TakeBucket(kL0Slots + (pos.level - 1) * kSlotsPerLevel + pos.slot);
   while (head != kNil) {
     const uint32_t next = slots_[head].next;
     --wheel_count_;
     // Re-inserts relative to the advanced wheel_time_, landing at a strictly
-    // lower level (every event here is within the slot's 64^level range).
+    // lower level (every event here is within the slot's range).
     InsertIntoWheel(head);
+    ++counters_.cascade_reinserts;
     head = next;
   }
 }
@@ -153,12 +220,10 @@ void EventLoop::CollectBucket(const WheelPos& pos) {
   ready_.clear();
   ready_pos_ = 0;
   ready_time_ = pos.start;
-  const int b = pos.slot;  // level 0
-  uint32_t head = buckets_[b];
-  buckets_[b] = kNil;
-  occupied_[0] &= ~(uint64_t{1} << pos.slot);
+  ++counters_.buckets_collected;
+  uint32_t head = TakeBucket(pos.slot);  // level 0
   while (head != kNil) {
-    EventSlot& s = slots_[head];
+    SlotHeader& s = slots_[head];
     const uint32_t next = s.next;
     CHECK_EQ(s.when, pos.start) << "level-0 bucket must be exact";
     s.state = SlotState::kInReady;
@@ -175,7 +240,7 @@ void EventLoop::CollectBucket(const WheelPos& pos) {
 void EventLoop::SkipStaleReady() {
   while (ready_pos_ < ready_.size()) {
     const ReadyEntry& e = ready_[ready_pos_];
-    const EventSlot& s = slots_[e.slot];
+    const SlotHeader& s = slots_[e.slot];
     if (s.state == SlotState::kInReady && s.gen == e.gen) {
       return;
     }
@@ -185,7 +250,7 @@ void EventLoop::SkipStaleReady() {
   ready_pos_ = 0;
 }
 
-void EventLoop::FireReadyFront() { FireReadyEntry(ready_[ready_pos_++]); }
+void EventLoop::FireReadyFront() { FireSlot(ready_[ready_pos_++].slot); }
 
 void EventLoop::FireReadyNext() {
   if (oracle_ == nullptr) {
@@ -198,9 +263,10 @@ void EventLoop::FireReadyNext() {
   oracle_positions_.clear();
   for (size_t i = ready_pos_; i < ready_.size(); ++i) {
     const ReadyEntry& e = ready_[i];
-    const EventSlot& s = slots_[e.slot];
+    const SlotHeader& s = slots_[e.slot];
     if (s.state == SlotState::kInReady && s.gen == e.gen) {
-      oracle_cands_.push_back(ScheduleOracle::Candidate{s.tag, e.seq});
+      oracle_cands_.push_back(
+          ScheduleOracle::Candidate{payloads_[e.slot].tag, e.seq});
       oracle_positions_.push_back(i);
     }
   }
@@ -211,43 +277,47 @@ void EventLoop::FireReadyNext() {
   const size_t choice = oracle_->Pick(ready_time_, oracle_cands_);
   CHECK_LT(choice, oracle_cands_.size()) << "oracle picked out of range";
   const size_t pos = oracle_positions_[choice];
-  const ReadyEntry e = ready_[pos];
+  const uint32_t idx = ready_[pos].slot;
   // Detach the chosen entry; the rest of the batch keeps its seq order.
   ready_.erase(ready_.begin() + static_cast<ptrdiff_t>(pos));
-  FireReadyEntry(e);
+  FireSlot(idx);
 }
 
-void EventLoop::FireReadyEntry(ReadyEntry e) {
-  const uint32_t idx = e.slot;
-  EventSlot& s = slots_[idx];
-  const Time fire_time = s.when;
+void EventLoop::FireSlot(uint32_t idx) {
+  const Time fire_time = slots_[idx].when;
   CHECK_GE(fire_time, now_);
   now_ = fire_time;
   --pending_count_;
   ++executed_count_;
-  InlineCallback fn = std::move(s.fn);
-  if (s.period > 0) {
-    s.state = SlotState::kFiring;
-    s.cancel_while_firing = false;
-    fn();
-    // Re-fetch: the callback may have scheduled events and grown the slab.
-    EventSlot& s2 = slots_[idx];
-    if (s2.cancel_while_firing) {
-      FreeSlot(idx);
-    } else {
-      // Re-arm in place: same id, fresh seq drawn after the callback — the
-      // same tie-break order a self-rescheduling callback would get.
-      s2.fn = std::move(fn);
-      s2.when = fire_time + s2.period;
-      s2.seq = next_seq_++;
-      ++pending_count_;
-      InsertIntoWheel(idx);
-    }
-  } else {
+  SlotPayload& p = payloads_[idx];
+  // Moved out: the callback may schedule events, which can reuse this slot
+  // or grow the slab under it.
+  InlineCallback fn = std::move(p.fn);
+  if (p.period == 0) {
     // Free before invoking so Cancel(own id) inside the callback reports
     // "already fired" and the slot is immediately reusable.
     FreeSlot(idx);
     fn();
+    return;
+  }
+  slots_[idx].state = SlotState::kFiring;
+  slots_[idx].cancel_while_firing = false;
+  fn();
+  // Re-fetch: the callback may have scheduled events and grown the slab.
+  SlotHeader& s = slots_[idx];
+  if (s.cancel_while_firing) {
+    FreeSlot(idx);
+  } else {
+    // Re-arm in place: same id, fresh seq drawn after the callback — the
+    // same tie-break order a self-rescheduling callback would get.
+    SlotPayload& rearm = payloads_[idx];
+    rearm.fn = std::move(fn);
+    s.when = fire_time + rearm.period;
+    s.seq = next_seq_++;
+    ++pending_count_;
+    ++counters_.scheduled;
+    ++counters_.wheel_inserts;
+    InsertIntoWheel(idx);
   }
 }
 
@@ -257,18 +327,20 @@ bool EventLoop::Cancel(EventId id) {
   if (idx >= slots_.size()) {
     return false;
   }
-  EventSlot& s = slots_[idx];
+  SlotHeader& s = slots_[idx];
   if (s.gen != gen) {
     return false;  // already fired / cancelled / never existed
   }
   switch (s.state) {
     case SlotState::kInWheel:
       UnlinkFromWheel(idx);
+      payloads_[idx].fn.Reset();  // release captures promptly
       FreeSlot(idx);
       --pending_count_;
       return true;
     case SlotState::kInReady:
       // Its ReadyEntry goes stale (generation mismatch) and is skipped.
+      payloads_[idx].fn.Reset();
       FreeSlot(idx);
       --pending_count_;
       return true;
@@ -296,11 +368,8 @@ bool EventLoop::RunOne() {
     if (wheel_count_ == 0) {
       return false;
     }
-    const WheelPos pos = NextOccupiedSlot();
-    if (pos.level == 0) {
-      CollectBucket(pos);
-    } else {
-      CascadeSlot(pos);
+    if (AdvanceTo(NextOccupiedSlot())) {
+      return true;
     }
   }
 }
@@ -323,11 +392,7 @@ void EventLoop::RunUntil(Time deadline) {
     if (pos.start > deadline) {
       break;
     }
-    if (pos.level == 0) {
-      CollectBucket(pos);
-    } else {
-      CascadeSlot(pos);
-    }
+    AdvanceTo(pos);
   }
   if (now_ < deadline) {
     now_ = deadline;

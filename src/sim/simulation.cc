@@ -46,6 +46,12 @@ SimulationContext::~SimulationContext() {
   if (fault_injector_ != nullptr) {
     kernel_.set_fault_injector(nullptr);
   }
+  // A borrowed registry outlives this context, so it gets the loop's work
+  // counts; an owned one dies with it (whoever merges an owned registry
+  // exports the loop itself, as fleet::Cluster does).
+  if (owned_stats_ == nullptr) {
+    loop_.counters().ExportTo(stats_);
+  }
 }
 
 void SimulationContext::InstallClassStack() {

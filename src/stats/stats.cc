@@ -68,6 +68,24 @@ void StatsRegistry::Reset() {
   for (auto& [name, hist] : histograms_) {
     hist->hist_.Reset();
   }
+  for (auto& [name, count] : layer_counts_) {
+    count = 0;
+  }
+}
+
+void StatsRegistry::AddLayerCount(const std::string& name, uint64_t n) {
+  if (enabled_) {
+    layer_counts_[name] += n;
+  }
+}
+
+void StatsRegistry::AppendLayersJson(JsonWriter& w) const {
+  w.BeginObject();
+  for (const auto& [name, count] : layer_counts_) {
+    w.Key(name);
+    w.UInt(count);
+  }
+  w.EndObject();
 }
 
 void StatsRegistry::MergeFrom(const StatsRegistry& other) {
@@ -99,6 +117,9 @@ void StatsRegistry::MergeFrom(const StatsRegistry& other) {
       slot.reset(new HistogramMetric(&enabled_));
     }
     slot->hist_.Merge(hist->hist_);
+  }
+  for (const auto& [name, count] : other.layer_counts_) {
+    layer_counts_[name] += count;
   }
 }
 

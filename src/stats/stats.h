@@ -135,12 +135,22 @@ class StatsRegistry {
   // Fully-qualified metric key, e.g. `txn_commit_total{status=ESTALE}`.
   static std::string FullName(const std::string& name, const Labels& labels);
 
+  // Hardware-free work counts of the simulator's own layers, such as the
+  // event engine's wheel operations (EventLoopCounters::ExportTo). They stay
+  // out of ToJson()/AppendJson(); the bench harness writes them as a result
+  // file's "layers" block. Adds are no-ops while disabled; MergeFrom sums
+  // them and Reset zeroes them.
+  void AddLayerCount(const std::string& name, uint64_t n);
+  // {"name": count, ...} in sorted key order, in value position.
+  void AppendLayersJson(JsonWriter& writer) const;
+
  private:
   bool enabled_ = false;
   // Stable addresses: values are unique_ptrs, maps are keyed by full name.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
+  std::map<std::string, uint64_t> layer_counts_;
 };
 
 }  // namespace gs

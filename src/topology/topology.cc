@@ -93,12 +93,6 @@ Topology Topology::AmdRome256() {
               /*cores_per_ccx=*/4);
 }
 
-const CpuInfo& Topology::cpu(int id) const {
-  CHECK_GE(id, 0);
-  CHECK_LT(id, num_cpus());
-  return cpus_[id];
-}
-
 const CpuMask& Topology::CoreMask(int core) const {
   DCHECK_GE(core, 0);
   DCHECK_LT(core, static_cast<int>(core_masks_.size()));

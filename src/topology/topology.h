@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/base/cpumask.h"
+#include "src/base/logging.h"
 
 namespace gs {
 
@@ -59,7 +60,11 @@ class Topology {
   int num_numa_nodes() const { return num_numa_nodes_; }
   int smt() const { return smt_; }
 
-  const CpuInfo& cpu(int id) const;
+  const CpuInfo& cpu(int id) const {
+    CHECK_GE(id, 0);
+    CHECK_LT(id, num_cpus());
+    return cpus_[id];
+  }
   const std::vector<CpuInfo>& cpus() const { return cpus_; }
 
   CpuMask AllCpus() const { return CpuMask::AllUpTo(num_cpus()); }

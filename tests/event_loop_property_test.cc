@@ -43,7 +43,23 @@ struct Program {
   Time final_deadline = 0;
 };
 
-Duration RandomDelta(Rng& rng) {
+// kSpread spans every wheel level. kNearHorizon keeps most delays, periods
+// and run deadlines inside [0, 8192) ns, where level 0's 4096 exact slots
+// meet the first upper level: block crossings, the +4095/+4096/+4097
+// boundary and deadlines inside level 0.
+enum class DelayMix { kSpread, kNearHorizon };
+
+Duration RandomDelta(Rng& rng, DelayMix mix) {
+  if (mix == DelayMix::kNearHorizon) {
+    switch (rng.NextBounded(10)) {
+      case 0:
+        return static_cast<Duration>(4095 + rng.NextBounded(3));
+      case 1:
+        return static_cast<Duration>(rng.NextBounded(1 << 20));
+      default:
+        return static_cast<Duration>(rng.NextBounded(8192));
+    }
+  }
   // Span the wheel levels: same-bucket, level-0..1, mid, and far deltas.
   switch (rng.NextBounded(5)) {
     case 0:
@@ -59,16 +75,19 @@ Duration RandomDelta(Rng& rng) {
   }
 }
 
-Program GenerateProgram(uint64_t seed, int num_ops) {
+Program GenerateProgram(uint64_t seed, int num_ops,
+                        DelayMix mix = DelayMix::kSpread) {
+  const bool near = mix == DelayMix::kNearHorizon;
   Rng rng(seed);
   Program p;
   for (int i = 0; i < num_ops; ++i) {
     const uint64_t dice = rng.NextBounded(10);
     if (dice < 5) {
       EventSpec spec;
-      spec.delta = RandomDelta(rng);
+      spec.delta = RandomDelta(rng, mix);
       if (rng.NextBounded(5) == 0) {
-        spec.period = static_cast<Duration>(1 + rng.NextBounded(20000));
+        spec.period =
+            static_cast<Duration>(1 + rng.NextBounded(near ? 8192 : 20000));
         if (rng.NextBounded(2) == 0) {
           spec.cancel_self_after = 1 + static_cast<int>(rng.NextBounded(5));
         }
@@ -76,7 +95,7 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
       if (rng.NextBounded(4) == 0) {
         // Callback schedules a oneshot (possibly delta 0: fires this instant).
         EventSpec spawned;
-        spawned.delta = RandomDelta(rng);
+        spawned.delta = RandomDelta(rng, mix);
         p.specs.push_back(spawned);
         spec.spawn_spec = static_cast<int>(p.specs.size() - 1);
       }
@@ -91,7 +110,7 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
           Op{Op::kCancel, -1, static_cast<int>(rng.NextBounded(p.specs.size() + 1)), 0});
     } else if (dice < 9) {
       p.ops.push_back(Op{Op::kRunUntil, -1, -1,
-                         static_cast<Duration>(rng.NextBounded(100000))});
+                         static_cast<Duration>(rng.NextBounded(near ? 8192 : 100000))});
     } else {
       p.ops.push_back(Op{Op::kRunOne, -1, -1, 0});
     }
@@ -178,10 +197,7 @@ class Driver {
   std::map<int, int> fire_count_;
 };
 
-class EventLoopDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EventLoopDifferentialTest, WheelMatchesReferenceHeap) {
-  const Program program = GenerateProgram(GetParam(), 3000);
+void ExpectSameRun(const Program& program, uint64_t seed) {
   Driver<EventLoop> wheel(program);
   Driver<ReferenceEventLoop> reference(program);
   wheel.Run();
@@ -190,12 +206,23 @@ TEST_P(EventLoopDifferentialTest, WheelMatchesReferenceHeap) {
   ASSERT_EQ(wheel.fired().size(), reference.fired().size());
   for (size_t i = 0; i < wheel.fired().size(); ++i) {
     ASSERT_EQ(wheel.fired()[i], reference.fired()[i])
-        << "firing sequence diverges at index " << i << " (seed "
-        << GetParam() << ")";
+        << "firing sequence diverges at index " << i << " (seed " << seed
+        << ")";
   }
   EXPECT_EQ(wheel.observations(), reference.observations())
-      << "cancel results / clock / pending counts diverge (seed " << GetParam()
+      << "cancel results / clock / pending counts diverge (seed " << seed
       << ")";
+}
+
+class EventLoopDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EventLoopDifferentialTest, WheelMatchesReferenceHeap) {
+  ExpectSameRun(GenerateProgram(GetParam(), 3000), GetParam());
+}
+
+TEST_P(EventLoopDifferentialTest, NearHorizonMixMatchesReferenceHeap) {
+  ExpectSameRun(GenerateProgram(GetParam(), 3000, DelayMix::kNearHorizon),
+                GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventLoopDifferentialTest,

@@ -1,4 +1,5 @@
 // Unit tests for the discrete-event engine.
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -235,6 +236,239 @@ TEST(EventLoopTest, PendingCountTracksLiveEvents) {
   loop.RunUntilIdle();
   EXPECT_EQ(loop.pending_count(), 0u);
   EXPECT_EQ(loop.executed_count(), 1u);
+}
+
+// ---- Near-horizon level and singleton fire --------------------------------
+
+// Records (now, label) at each fire.
+struct FireLog {
+  std::vector<std::pair<Time, int>> fires;
+  InlineCallback At(EventLoop* loop, int label) {
+    return [this, loop, label] { fires.push_back({loop->now(), label}); };
+  }
+};
+
+TEST(EventLoopWheelTest, LevelZeroBoundaryDelays) {
+  // From a cursor at 0, +4095 lands in level 0's last exact slot; +4096 and
+  // +4097 fall in the next 4096-aligned block (level 1) and cascade once.
+  EventLoop loop;
+  FireLog log;
+  loop.ScheduleAfter(4097, log.At(&loop, 3));
+  loop.ScheduleAfter(4095, log.At(&loop, 1));
+  loop.ScheduleAfter(4096, log.At(&loop, 2));
+  loop.RunUntilIdle();
+  EXPECT_EQ(log.fires, (std::vector<std::pair<Time, int>>{
+                           {4095, 1}, {4096, 2}, {4097, 3}}));
+  EXPECT_EQ(loop.counters().wheel_inserts, 3u);
+  EXPECT_EQ(loop.counters().cascade_reinserts, 2u);
+  EXPECT_EQ(loop.counters().singleton_fires, 3u);
+}
+
+TEST(EventLoopWheelTest, NearEventsInsideTheCursorBlockNeverCascade) {
+  EventLoop loop;
+  FireLog log;
+  loop.RunUntil(8192);  // cursor at the start of a block
+  for (int i = 0; i < 64; ++i) {
+    loop.ScheduleAfter(1 + 63 * i, log.At(&loop, i));
+  }
+  loop.RunUntilIdle();
+  ASSERT_EQ(log.fires.size(), 64u);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(log.fires[i], (std::pair<Time, int>{8192 + 1 + 63 * i, i}));
+  }
+  EXPECT_EQ(loop.counters().cascade_reinserts, 0u);
+}
+
+TEST(EventLoopWheelTest, EventsAcrossAlignedBlocksFireInTimeOrder) {
+  EventLoop loop;
+  FireLog log;
+  loop.RunUntil(4000);
+  // Straddles the 4096 and 8192 block boundaries, scheduled out of order.
+  const std::vector<Time> times = {8200, 4095, 8191, 4096, 12288, 4000, 8192};
+  for (size_t i = 0; i < times.size(); ++i) {
+    loop.ScheduleAt(times[i], log.At(&loop, static_cast<int>(i)));
+  }
+  loop.RunUntilIdle();
+  EXPECT_EQ(log.fires, (std::vector<std::pair<Time, int>>{
+                           {4000, 5}, {4095, 1}, {4096, 3}, {8191, 2},
+                           {8192, 6}, {8200, 0}, {12288, 4}}));
+}
+
+TEST(EventLoopWheelTest, CancelLastEventOfOccupancyWordThenReuseWord) {
+  // Slots 64..127 share level 0's second occupancy word. Emptying it must
+  // clear its summary bit, and scheduling into it again must set it back.
+  EventLoop loop;
+  FireLog log;
+  const EventId only = loop.ScheduleAt(70, log.At(&loop, 0));
+  loop.ScheduleAt(300, log.At(&loop, 1));
+  EXPECT_TRUE(loop.Cancel(only));
+  loop.ScheduleAt(100, log.At(&loop, 2));
+  loop.ScheduleAt(65, log.At(&loop, 3));
+  loop.RunUntilIdle();
+  EXPECT_EQ(log.fires, (std::vector<std::pair<Time, int>>{
+                           {65, 3}, {100, 2}, {300, 1}}));
+  EXPECT_EQ(loop.pending_count(), 0u);
+}
+
+TEST(EventLoopWheelTest, PeriodicRearmLandsOnBlockBoundary) {
+  EventLoop loop;
+  std::vector<Time> fires;
+  const EventId id =
+      loop.SchedulePeriodicAt(2048, 2048, [&] { fires.push_back(loop.now()); });
+  loop.RunUntil(12288);
+  EXPECT_EQ(fires, (std::vector<Time>{2048, 4096, 6144, 8192, 10240, 12288}));
+  EXPECT_TRUE(loop.Cancel(id));
+}
+
+TEST(EventLoopWheelTest, RunUntilDeadlineInsideLevelZero) {
+  EventLoop loop;
+  FireLog log;
+  loop.ScheduleAt(100, log.At(&loop, 0));
+  loop.ScheduleAt(200, log.At(&loop, 1));
+  loop.ScheduleAt(5000, log.At(&loop, 2));
+  loop.RunUntil(150);
+  EXPECT_EQ(log.fires, (std::vector<std::pair<Time, int>>{{100, 0}}));
+  EXPECT_EQ(loop.now(), 150);
+  loop.ScheduleAt(160, log.At(&loop, 3));
+  loop.RunUntil(200);
+  EXPECT_EQ(log.fires, (std::vector<std::pair<Time, int>>{
+                           {100, 0}, {160, 3}, {200, 1}}));
+  EXPECT_EQ(loop.now(), 200);
+  EXPECT_EQ(loop.pending_count(), 1u);
+}
+
+TEST(EventLoopWheelTest, ZeroDelayFromSingletonFireRunsAfterItInSeqOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.ScheduleAt(10, [&] {
+    order.push_back(0);
+    loop.ScheduleAfter(0, [&] {
+      order.push_back(1);
+      loop.ScheduleAfter(0, [&] { order.push_back(4); });
+    });
+    loop.ScheduleAt(10, [&] { order.push_back(2); });
+    loop.ScheduleAfter(0, [&] { order.push_back(3); });
+  });
+  loop.ScheduleAt(11, [&] { order.push_back(5); });
+  loop.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.now(), 11);
+  EXPECT_GE(loop.counters().singleton_fires, 2u) << "t=10 first, t=11 last";
+}
+
+TEST(EventLoopWheelTest, OracleKeepsBatchPathForSingletons) {
+  // With an oracle installed no bucket skips the ready list.
+  class FirstPick : public ScheduleOracle {
+   public:
+    size_t Pick(Time, const std::vector<Candidate>&) override { return 0; }
+  };
+  FirstPick oracle;
+  EventLoop loop;
+  loop.set_oracle(&oracle);
+  int fired = 0;
+  loop.ScheduleAt(10, [&] { ++fired; });
+  loop.ScheduleAt(20, [&] { ++fired; });
+  loop.RunUntilIdle();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.counters().buckets_collected, 2u);
+  EXPECT_EQ(loop.counters().singleton_fires, 0u);
+}
+
+// ---- Callback relocation and destruction ----------------------------------
+
+// Counts destructions of the logical capture: a moved-from copy is hollow
+// and does not count.
+class DestroyProbe {
+ public:
+  explicit DestroyProbe(int* destroyed) : destroyed_(destroyed) {}
+  DestroyProbe(DestroyProbe&& other) noexcept : destroyed_(other.destroyed_) {
+    other.destroyed_ = nullptr;
+  }
+  DestroyProbe(const DestroyProbe&) = delete;
+  DestroyProbe& operator=(const DestroyProbe&) = delete;
+  ~DestroyProbe() {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
+
+ private:
+  int* destroyed_;
+};
+
+struct HotCapture {
+  EventLoop* loop;
+  int cpu;
+  void operator()() const {}
+};
+static_assert(InlineCallback::kByteRelocatable<HotCapture>,
+              "pointer+int captures must take the byte-copy path");
+static_assert(!InlineCallback::kByteRelocatable<std::shared_ptr<int>>);
+
+TEST(InlineCallbackTest, TrivialCapturesAreByteRelocated) {
+  EventLoop loop;
+  int cpu = 3;
+  auto hot = [&loop, cpu] { (void)loop.now(); (void)cpu; };
+  static_assert(InlineCallback::kByteRelocatable<decltype(hot)>);
+  InlineCallback a = hot;
+  EXPECT_TRUE(a.byte_relocatable());
+  InlineCallback b = std::move(a);
+  EXPECT_TRUE(b.byte_relocatable());
+  EXPECT_FALSE(a) << "moved-from callback is empty";
+
+  int destroyed = 0;
+  InlineCallback owning = [probe = DestroyProbe(&destroyed)] {};
+  EXPECT_FALSE(owning.byte_relocatable());
+  owning.Reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineCallbackTest, CaptureDestroyedOnceWhenFired) {
+  int destroyed = 0;
+  EventLoop loop;
+  loop.ScheduleAt(10, [probe = DestroyProbe(&destroyed)] {});
+  EXPECT_EQ(destroyed, 0);
+  loop.RunUntilIdle();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineCallbackTest, CaptureDestroyedOnceWhenCancelled) {
+  int destroyed = 0;
+  EventLoop loop;
+  const EventId id = loop.ScheduleAt(10, [probe = DestroyProbe(&destroyed)] {});
+  EXPECT_TRUE(loop.Cancel(id));
+  EXPECT_EQ(destroyed, 1);
+  loop.RunUntilIdle();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineCallbackTest, PeriodicCaptureDestroyedOnceWhenCancelledInside) {
+  int destroyed = 0;
+  int fires = 0;
+  EventLoop loop;
+  EventId id = kInvalidEventId;
+  id = loop.SchedulePeriodic(5, 5, [&, probe = DestroyProbe(&destroyed)] {
+    if (++fires == 3) {
+      loop.Cancel(id);
+    }
+  });
+  loop.RunUntil(100);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineCallbackTest, PendingCapturesDestroyedOnceWithTheLoop) {
+  int destroyed = 0;
+  {
+    EventLoop loop;
+    loop.ScheduleAt(10, [probe = DestroyProbe(&destroyed)] {});
+    loop.ScheduleAt(10, [probe = DestroyProbe(&destroyed)] {});
+    loop.ScheduleAt(1 << 20, [probe = DestroyProbe(&destroyed)] {});
+    loop.SchedulePeriodic(3, 7, [probe = DestroyProbe(&destroyed)] {});
+    loop.RunUntil(5);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 4);
 }
 
 }  // namespace
