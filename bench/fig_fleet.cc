@@ -1,6 +1,7 @@
 // Fleet-scale sweep: offered load vs achieved throughput / tail latency /
-// shed fraction for an 8-machine cluster behind each front-end balancing
-// strategy (round_robin, least_loaded, consistent_hash).
+// shed fraction for an 8-machine cluster (--machines=N for another size)
+// behind each front-end balancing strategy (round_robin, least_loaded,
+// consistent_hash).
 //
 // Every machine runs the same ghOSt stack as the single-machine benches
 // (Shinjuku policy on a small SMT box); each root request fans one leaf RPC
@@ -9,6 +10,8 @@
 // (shed_outstanding). The whole cluster is deterministic: the JSON produced
 // for a given seed is byte-identical for any --jobs value.
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,7 +22,7 @@
 namespace gs {
 namespace {
 
-constexpr int kMachines = 8;
+int kMachines = 8;
 constexpr int kRpcFanout = 2;
 constexpr int kShedOutstanding = 48;
 constexpr double kServiceMeanUs = 100;
@@ -63,10 +66,14 @@ scenario::ScenarioSpec MakeSpec(double offered_kqps, const std::string& strategy
 
 void RunSweep(bench::Harness& harness, bench::Run& run) {
   // Aggregate capacity: 8 machines x 2 worker CPUs x (1 / 100 us) = 160 k
-  // requests/s = 80 k arrivals/s at fan-out 2. Sweep through saturation.
-  const std::vector<double> loads =
+  // requests/s = 80 k arrivals/s at fan-out 2. Sweep through saturation;
+  // other fleet sizes scale the offered loads with the machine count.
+  std::vector<double> loads =
       run.quick() ? std::vector<double>{20, 60, 100}
                   : std::vector<double>{10, 20, 40, 60, 70, 80, 90, 100, 120};
+  for (double& load : loads) {
+    load = load * kMachines / 8;
+  }
   std::printf("%-16s %10s %10s %10s %10s %10s %10s\n", "balancer", "offer_kqps",
               "ach_kqps", "p99_us", "shed", "rpcs", "maxshare");
   for (const char* strategy : {"round_robin", "least_loaded", "consistent_hash"}) {
@@ -108,7 +115,23 @@ void RunSweep(bench::Harness& harness, bench::Run& run) {
 }  // namespace gs
 
 int main(int argc, char** argv) {
-  gs::bench::Harness harness("fig_fleet", argc, argv);
+  gs::bench::Harness::Options options;
+  options.passthrough_prefixes = {"--machines="};
+  gs::bench::Harness harness("fig_fleet", argc, argv, options);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--machines=", 11) == 0) {
+      char* end = nullptr;
+      const long machines = std::strtol(argv[i] + 11, &end, 10);
+      if (*end != '\0' || machines < 2 || machines > 1024) {
+        std::fprintf(stderr, "fig_fleet: --machines wants an integer in [2, 1024]\n");
+        return 2;
+      }
+      gs::kMachines = static_cast<int>(machines);
+    } else {
+      std::fprintf(stderr, "usage: fig_fleet [--machines=N] [harness flags]\n");
+      return 2;
+    }
+  }
   if (harness.quick()) {
     gs::kWarmupMs = 10;
     gs::kMeasureMs = 60;

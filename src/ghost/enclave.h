@@ -84,6 +84,8 @@ class Enclave {
   }
   const TaskStatusWord* task_status(int64_t tid);
   int num_tasks() const { return static_cast<int>(tasks_by_tid_.size()); }
+  // Every managed thread, in tid order, for read-only scans.
+  const std::vector<GhostTask*>& tasks() const { return tasks_by_tid_; }
 
   // Snapshot of all thread state, used by a replacement agent to resume
   // scheduling after an in-place upgrade (§3.4).

@@ -120,7 +120,7 @@ void InvariantChecker::CheckOrphanedCpuState() {
 
 void InvariantChecker::CheckCpus() {
   const int num_cpus = kernel_->topology().num_cpus();
-  std::map<const Task*, int> running_on;
+  running_on_.Clear();
   for (int cpu = 0; cpu < num_cpus; ++cpu) {
     const CpuState& cs = kernel_->cpu_state(cpu);
     const Task* current = cs.current;
@@ -138,10 +138,11 @@ void InvariantChecker::CheckCpus() {
       Violation("cpu " + std::to_string(cpu) + " current '" + current->name() +
                 "' believes it is on cpu " + std::to_string(current->cpu()));
     }
-    auto [it, inserted] = running_on.emplace(current, cpu);
-    if (!inserted) {
+    if (const int* first = running_on_.Find(current->tid())) {
       Violation("task '" + current->name() + "' is current on cpus " +
-                std::to_string(it->second) + " and " + std::to_string(cpu));
+                std::to_string(*first) + " and " + std::to_string(cpu));
+    } else {
+      running_on_.Insert(current->tid(), cpu);
     }
   }
   // Every running task is current exactly where it says it runs.
@@ -204,10 +205,12 @@ void InvariantChecker::CheckEnclave(Enclave* enclave) {
                        options_.starvation_slack;
   }
 
-  for (const Enclave::TaskInfo& info : enclave->TaskDump()) {
-    GhostTask* gt = enclave->Find(info.tid);
+  // Walks the enclave's task list in place: the scan never mutates it.
+  for (const GhostTask* listed : enclave->tasks()) {
+    const int64_t tid = listed->task->tid();
+    GhostTask* gt = enclave->Find(tid);
     if (gt == nullptr || gt->task == nullptr) {
-      Violation("enclave task tid " + std::to_string(info.tid) + " has no state");
+      Violation("enclave task tid " + std::to_string(tid) + " has no state");
       continue;
     }
     Task* task = gt->task;
@@ -229,12 +232,15 @@ void InvariantChecker::CheckEnclave(Enclave* enclave) {
                 std::to_string(gt->status.tseq) + " != kernel tseq " +
                 std::to_string(gt->tseq));
     }
-    auto& rec = last_tseq_[info.tid];
-    if (rec.first == gt->gen && gt->tseq < rec.second) {
-      Violation("task '" + task->name() + "' tseq regressed " +
-                std::to_string(rec.second) + " -> " + std::to_string(gt->tseq));
+    if (TseqMark* rec = last_tseq_.Find(tid)) {
+      if (rec->gen == gt->gen && gt->tseq < rec->tseq) {
+        Violation("task '" + task->name() + "' tseq regressed " +
+                  std::to_string(rec->tseq) + " -> " + std::to_string(gt->tseq));
+      }
+      *rec = {gt->gen, gt->tseq};
+    } else {
+      last_tseq_.Insert(tid, {gt->gen, gt->tseq});
     }
-    rec = {gt->gen, gt->tseq};
 
     if ((task->state() == TaskState::kRunnable ||
          task->state() == TaskState::kRunning) &&

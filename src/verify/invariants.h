@@ -29,11 +29,11 @@
 #define GHOST_SIM_SRC_VERIFY_INVARIANTS_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/base/flat_map.h"
 #include "src/base/time.h"
 #include "src/sim/event_loop.h"
 
@@ -112,8 +112,15 @@ class InvariantChecker {
   std::vector<std::string> violations_;
   std::set<std::string> seen_;  // dedup: one report per distinct message
 
-  // Tseq monotonicity memory: tid -> {membership generation, last tseq}.
-  std::map<int64_t, std::pair<uint64_t, uint32_t>> last_tseq_;
+  // Tseq monotonicity memory: the last tseq seen per tid, and the
+  // membership generation it was seen in.
+  struct TseqMark {
+    uint64_t gen = 0;
+    uint32_t tseq = 0;
+  };
+  TidMap<TseqMark> last_tseq_;
+  // CheckCpus scratch: tid -> the first CPU it was found current on.
+  TidMap<int> running_on_;
   // Conservation: when each CPU was last observed non-idle.
   std::vector<Time> last_busy_;
 };

@@ -11,11 +11,11 @@
 #ifndef GHOST_SIM_SRC_WORKLOADS_REQUEST_SERVICE_H_
 #define GHOST_SIM_SRC_WORKLOADS_REQUEST_SERVICE_H_
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "src/base/inline_callback.h"
+#include "src/base/ring_deque.h"
 #include "src/base/rng.h"
 #include "src/kernel/kernel.h"
 #include "src/workloads/latency_recorder.h"
@@ -133,7 +133,7 @@ class ThreadPoolServer {
   std::vector<Task*> workers_;
   std::vector<Request> active_;  // per worker
   std::vector<int> free_;
-  std::deque<Request> pending_;
+  RingDeque<Request> pending_;
   LatencyRecorder latency_;
   std::function<void(Time, Duration)> completion_hook_;
   int64_t completed_ = 0;

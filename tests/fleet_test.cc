@@ -4,6 +4,7 @@
 // contract — same seed => byte-identical results serially and on a thread
 // pool, and partition/heal chaos leaves the invariant checkers clean.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -105,6 +106,127 @@ TEST(NetworkModelTest, PartitionParksAndHealRetransmits) {
   EXPECT_EQ(net.parked(), 1);  // cumulative
   EXPECT_EQ(net.parked_now(), 0);
   EXPECT_EQ(net.delivered(), 1);
+}
+
+// Every source lane into one destination, merged on the destination's own
+// thread, must come out in the canonical (deliver, src, seq) order no matter
+// in which order the sources appended.
+TEST(NetworkModelTest, MergeOfThreeSourcesWithEqualDeliveryIsCanonical) {
+  EventLoop n0;
+  EventLoop n1;
+  EventLoop n2;
+  EventLoop dst;
+  NetworkModel::Options options;
+  options.default_latency = Microseconds(50);
+  options.default_bytes_per_ns = 1.25;
+  NetworkModel net({&n0, &n1, &n2, &dst}, options);
+
+  // Two 125 B messages per source, all sent at t=0: the first of each lane
+  // delivers at 50.1 us and the second at 50.2 us, on every lane alike.
+  std::vector<std::pair<int, int>> order;  // (src, k-th message of src)
+  for (int src : {2, 0, 1}) {
+    net.Send(src, 3, 125, [&order, src] { order.emplace_back(src, 0); });
+  }
+  for (int src : {1, 2, 0}) {
+    net.Send(src, 3, 125, [&order, src] { order.emplace_back(src, 1); });
+  }
+  net.EndEpoch();
+  net.DeliverInbound(3);
+  EXPECT_EQ(net.delivered(), 6);
+  dst.RunUntil(Milliseconds(1));
+  const std::vector<std::pair<int, int>> expected = {
+      {0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}};
+  EXPECT_EQ(order, expected);
+}
+
+// A heal at a barrier retransmits into the epoch that follows it, so the
+// healed message merges with that epoch's sends in canonical order and is
+// not delivered by the merge of the epoch that closed before the heal.
+TEST(NetworkModelTest, HealAtBarrierMergesWithNextEpochInCanonicalOrder) {
+  EventLoop a;
+  EventLoop b;
+  EventLoop c;
+  NetworkModel::Options options;
+  options.default_latency = Microseconds(50);
+  options.default_bytes_per_ns = 1.25;
+  NetworkModel net({&a, &b, &c}, options);
+
+  net.SetNodeLinked(2, false, 0);
+  std::vector<int> order;
+  std::vector<Time> times;
+  net.Send(1, 2, 125, [&] {  // parked
+    order.push_back(1);
+    times.push_back(c.now());
+  });
+  EXPECT_EQ(net.parked_now(), 1);
+
+  // Barrier at 50 us: close epoch 0, heal, then the next pass merges only
+  // epoch 0's (empty) traffic.
+  const Time barrier = Microseconds(50);
+  a.RunUntil(barrier);
+  b.RunUntil(barrier);
+  c.RunUntil(barrier);
+  net.EndEpoch();
+  net.SetNodeLinked(2, true, barrier);
+  EXPECT_EQ(net.parked_now(), 0);
+  for (int node = 0; node < 3; ++node) {
+    net.DeliverInbound(node);
+  }
+  EXPECT_EQ(net.delivered(), 0) << "the heal must wait for the next epoch's merge";
+
+  // During the next epoch node 0 sends at the barrier instant: the same
+  // delivery time as the healed message. Source 0 runs first.
+  net.Send(0, 2, 125, [&] {
+    order.push_back(0);
+    times.push_back(c.now());
+  });
+  net.EndEpoch();
+  net.DeliverInbound(2);
+  EXPECT_EQ(net.delivered(), 2);
+  c.RunUntil(Milliseconds(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  // Both leave at the barrier: 100 ns of transmit plus 50 us of latency.
+  EXPECT_EQ(times, (std::vector<Time>{Nanoseconds(100100), Nanoseconds(100100)}));
+}
+
+// The final flush schedules the last epoch's messages without running them:
+// delivered() counts them while they are still in flight.
+TEST(NetworkModelTest, DeliveredCountsMessagesInFlightAtTheEnd) {
+  EventLoop a;
+  EventLoop b;
+  NetworkModel::Options options;
+  options.default_latency = Microseconds(50);
+  NetworkModel net({&a, &b}, options);
+
+  bool ran = false;
+  net.Send(0, 1, 1250, [&] { ran = true; });
+  net.EndEpoch();
+  EXPECT_EQ(net.delivered(), 0) << "not merged yet";
+  net.DeliverInbound(0);
+  net.DeliverInbound(1);
+  EXPECT_EQ(net.delivered(), 1);
+  EXPECT_FALSE(ran) << "in flight: scheduled on the destination, not run";
+  b.RunUntil(Milliseconds(1));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(net.delivered(), 1);
+}
+
+// A destination that skipped its merge would leave a lane chained into a
+// buffer its source is about to reuse; the next send on that lane stops the
+// run instead of corrupting the chain.
+TEST(NetworkModelDeathTest, SendIntoUnmergedLaneChecks) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop a;
+        EventLoop b;
+        NetworkModel net({&a, &b}, NetworkModel::Options());
+        net.Send(0, 1, 100, [] {});
+        net.EndEpoch();  // node 1 never runs DeliverInbound
+        net.EndEpoch();
+        net.Send(0, 1, 100, [] {});
+      },
+      "did not merge its lanes");
 }
 
 TEST(NetworkModelTest, PerLinkOverrideAndMinLatency) {
@@ -295,6 +417,29 @@ TEST(ClusterTest, PartitionHealChaosLeavesInvariantsClean) {
   const std::string again =
       scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 1));
   EXPECT_EQ(again, scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 8)));
+}
+
+// 32 machines with partitions and heals mid-run: the per-destination merge
+// must give the same bytes on four jobs as on one.
+TEST(ClusterTest, ThirtyTwoMachinePartitionIsByteIdenticalAcrossJobs) {
+  scenario::ScenarioSpec spec = ParseSpec(kFleetSpec);
+  spec.warmup_ms = 1;
+  spec.measure_ms = 5;
+  spec.drain_ms = 2;
+  spec.workload.phases = {{8, 120000}};
+  spec.fleet->machines = 32;
+  spec.fleet->sessions = 1024;
+  scenario::FleetEventSpec down0{2.0, "link_down", 5};
+  scenario::FleetEventSpec down1{2.5, "link_down", 17};
+  scenario::FleetEventSpec up0{4.0, "link_up", 5};
+  scenario::FleetEventSpec up1{4.0, "link_up", 17};
+  spec.fleet->plan = {down0, down1, up0, up1};
+
+  const scenario::ScenarioResult serial = scenario::RunScenario(spec, nullptr, 1);
+  EXPECT_GT(serial.exact.at("net_parked"), 0) << "partition never parked a message";
+  EXPECT_EQ(serial.exact.at("invariants_ok"), 1);
+  EXPECT_EQ(scenario::RenderGolden(serial),
+            scenario::RenderGolden(scenario::RunScenario(spec, nullptr, 4)));
 }
 
 TEST(ClusterTest, SingleMachineFleetIsValid) {
