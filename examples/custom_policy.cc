@@ -7,53 +7,51 @@
 // priority in its shared-memory hint word; the global agent always dispatches
 // the highest-priority runnable thread first and preempts lower-priority
 // ones when a higher-priority thread wakes.
+//
+// It is a DispatchPolicy, the one surface every policy in src/policies/ is
+// written on: the base class drains the queue and keeps the task table, the
+// typed hooks keep the runqueue, and Schedule() commits.
 #include <cstdio>
 #include <memory>
 
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
+#include "src/agent/sdk/sdk.h"
 #include "src/sim/simulation.h"
 
 using namespace gs;
 
 namespace {
 
-class HintPriorityPolicy : public Policy {
+class HintPriorityPolicy : public DispatchPolicy {
  public:
   const char* name() const override { return "hint-priority"; }
 
-  void Attached(AgentProcess*, Enclave* enclave, Kernel*) override { enclave_ = enclave; }
+  void Attached(AgentProcess* process, Enclave* enclave, Kernel*) override {
+    enclave_ = enclave;
+    global_.Attach(process, enclave, /*requested_cpu=*/-1);
+  }
 
-  AgentAction RunAgent(AgentContext& ctx) override {
-    if (ctx.agent_cpu() != enclave_->cpus().First()) {
-      return AgentAction::kBlock;  // inactive agents sleep
-    }
-    bool progress = false;
-    std::vector<Message> msgs;
-    ctx.Drain(enclave_->default_queue(), &msgs);
-    progress |= !msgs.empty();
-    for (const Message& msg : msgs) {
-      PolicyTask* task = nullptr;
-      switch (table_.Apply(msg, &task)) {
-        case TaskTable::Event::kNew:
-        case TaskTable::Event::kRunnable:
-          if (task->runnable && !task->queued) {
-            task->queued = true;
-            // Lower hint value = higher priority.
-            runqueue_.Push(task, static_cast<int64_t>(ctx.ReadHint(task->tid)));
-          }
-          break;
-        case TaskTable::Event::kBlocked:
-        case TaskTable::Event::kDead:
-          if (task->queued) {
-            runqueue_.Remove(task);
-            task->queued = false;
-          }
-          break;
-        default:
-          break;
-      }
-    }
+  std::vector<uint64_t> dispatched_in_order;
+
+ protected:
+  // Inactive agents sleep; only the global agent drains and schedules.
+  std::optional<AgentAction> PreDrain(AgentContext& ctx) override { return global_.Gate(ctx); }
+  void CollectQueues(AgentContext&, std::vector<MessageQueue*>* queues) override {
+    queues->push_back(enclave_->default_queue());
+  }
+
+  // The base class keeps the task table; the hooks only keep the runqueue
+  // (preempted and yielding tasks reach TaskWakeup by default).
+  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message&) override {
+    Enqueue(ctx, task);
+  }
+  void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message&) override {
+    Enqueue(ctx, task);
+  }
+  void TaskBlocked(AgentContext&, PolicyTask* task, const Message&) override { Dequeue(task); }
+  void TaskDead(AgentContext&, PolicyTask* task, const Message&) override { Dequeue(task); }
+
+  AgentAction Schedule(AgentContext& ctx) override {
+    bool progress = drained();
     const CpuMask avail = ctx.AvailableCpus();
     for (int cpu = avail.First(); cpu >= 0 && !runqueue_.empty();
          cpu = avail.NextAfter(cpu)) {
@@ -65,19 +63,30 @@ class HintPriorityPolicy : public Policy {
       if (txn.committed()) {
         dispatched_in_order.push_back(ctx.ReadHint(next->tid));
         progress = true;
-      } else if (next->runnable) {
-        next->queued = true;
-        runqueue_.Push(next, static_cast<int64_t>(ctx.ReadHint(next->tid)));
+      } else {
+        Enqueue(ctx, next);
       }
     }
     return progress ? AgentAction::kRunAgain : AgentAction::kPollWait;
   }
 
-  std::vector<uint64_t> dispatched_in_order;
-
  private:
+  void Enqueue(AgentContext& ctx, PolicyTask* task) {
+    if (task->runnable && !task->queued) {
+      task->queued = true;
+      // Lower hint value = higher priority.
+      runqueue_.Push(task, static_cast<int64_t>(ctx.ReadHint(task->tid)));
+    }
+  }
+  void Dequeue(PolicyTask* task) {
+    if (task->queued) {
+      runqueue_.Remove(task);
+      task->queued = false;
+    }
+  }
+
   Enclave* enclave_ = nullptr;
-  TaskTable table_;
+  GlobalAgent global_;
   MinRunqueue runqueue_;
 };
 

@@ -6,7 +6,7 @@ namespace gs {
 
 void DispatchPolicy::Dispatch(AgentContext& ctx, const Message& msg) {
   PolicyTask* task = nullptr;
-  const TaskTable::Event event = table_.Apply(msg, &task);
+  const TaskTable::Event event = table_.Apply(msg, &task, &assigned_before_);
   switch (event) {
     case TaskTable::Event::kNone:
       // CPU-scoped or about an unknown (already dead) thread.
@@ -43,6 +43,14 @@ void DispatchPolicy::Dispatch(AgentContext& ctx, const Message& msg) {
       TaskAffinity(ctx, task, msg);
       break;
   }
+}
+
+PolicyTask* DispatchPolicy::AdoptTask(const Enclave::TaskInfo& info) {
+  PolicyTask* task = table_.Add(info.tid);
+  task->tseq = info.tseq;
+  task->affinity = info.affinity;
+  task->runnable = info.runnable;
+  return task;
 }
 
 void DispatchPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
@@ -82,6 +90,9 @@ void DispatchPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
 }
 
 AgentAction DispatchPolicy::RunAgent(AgentContext& ctx) {
+  if (const std::optional<AgentAction> early = PreDrain(ctx)) {
+    return *early;
+  }
   if (!restore_backlog_.empty()) {
     // Swap out first: a hook may trigger another Restore() (it should not,
     // but a hostile subclass can), and Dispatch must not walk a mutating
@@ -99,6 +110,7 @@ AgentAction DispatchPolicy::RunAgent(AgentContext& ctx) {
   for (MessageQueue* queue : scratch_queues_) {
     ctx.Drain(queue, &scratch_msgs_);
   }
+  drained_ = !scratch_msgs_.empty();
   for (const Message& msg : scratch_msgs_) {
     Dispatch(ctx, msg);
   }

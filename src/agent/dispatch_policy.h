@@ -1,31 +1,36 @@
 // DispatchPolicy: a typed message-dispatch adapter layered over
 // Policy::RunAgent, in the style of upstream ghost-userspace's
-// BasicDispatchScheduler.
+// BasicDispatchScheduler. Every in-tree policy is one.
 //
 // A raw Policy drains queues and switches on MessageType by hand. A
-// DispatchPolicy factors that boilerplate into the base class: each
-// iteration drains the queues the subclass nominates, folds every message
-// into the shared TaskTable, routes it to a per-type virtual hook
-// (TaskNew/TaskWakeup/TaskBlocked/TaskPreempted/TaskYield/TaskDead/
-// TaskDeparted/TaskAffinity/TimerTick/AgentWakeup), and then asks the
-// subclass to Schedule(). Subclasses keep only the decisions that make a
-// policy a policy: where a task goes when it becomes runnable, and what to
-// commit.
+// DispatchPolicy factors that boilerplate into the base class. Each
+// iteration:
+//  1. PreDrain() may end the iteration before any message is read (an
+//     inactive global agent blocks, a hot handoff yields);
+//  2. the queues the subclass nominates are drained, and every message is
+//     folded into the shared TaskTable and routed to a per-type virtual hook
+//     (TaskNew/TaskWakeup/TaskBlocked/TaskPreempted/TaskYield/TaskDead/
+//     TaskDeparted/TaskAffinity/TimerTick/AgentWakeup);
+//  3. Schedule() picks, commits, and returns what the agent does next;
+//     drained() tells it whether step 2 read anything.
+// Subclasses keep only the decisions that make a policy a policy: where a
+// task goes when it becomes runnable, and what to commit. The per-CPU and
+// global-agent plumbing around those decisions is in src/agent/sdk/.
 //
 // Hook contract:
 //  * `task` is the TaskTable entry, already updated from the message
 //    (runnable/tseq/affinity/last_cpu reflect the message's effect);
+//    assigned_before() is its assigned_cpu before the message cleared it;
 //  * for TaskDead/TaskDeparted the entry is removed from the table right
 //    after the hook returns — drop runqueue links and `user` state inside;
 //  * CPU-scoped messages (TimerTick) and bookkeeping wakeups (AgentWakeup)
 //    carry no task; hooks receive the raw message only;
 //  * messages about threads the table does not know (already dead) are
-//    dropped before any hook fires, exactly as hand-written policies do.
-//
-// PerCpuFifoPolicy is the reference consumer (src/policies/per_cpu_fifo.*).
+//    dropped before any hook fires.
 #ifndef GHOST_SIM_SRC_AGENT_DISPATCH_POLICY_H_
 #define GHOST_SIM_SRC_AGENT_DISPATCH_POLICY_H_
 
+#include <optional>
 #include <vector>
 
 #include "src/agent/agent_context.h"
@@ -55,6 +60,10 @@ class DispatchPolicy : public Policy {
 
  protected:
   // ---- Subclass obligations --------------------------------------------------
+  // Runs before anything is drained. Returning an action ends the iteration
+  // with it; std::nullopt carries on. Charges made here precede the drain's.
+  virtual std::optional<AgentAction> PreDrain(AgentContext& ctx) { return std::nullopt; }
+
   // Appends the queues this agent drains each iteration, in drain order
   // (e.g. the boss agent adds the enclave default queue before its own).
   virtual void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) = 0;
@@ -64,13 +73,21 @@ class DispatchPolicy : public Policy {
   virtual AgentAction Schedule(AgentContext& ctx) = 0;
 
   // ---- Typed message hooks (default: accept the table update, do nothing) ---
+  // A preempted or yielding task is runnable again and a departed one is
+  // gone: by default they are handled like a wakeup and a death.
   virtual void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
   virtual void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
-  virtual void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
-  virtual void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
+  virtual void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+    TaskWakeup(ctx, task, msg);
+  }
+  virtual void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+    TaskWakeup(ctx, task, msg);
+  }
   virtual void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
   virtual void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
-  virtual void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
+  virtual void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+    TaskDead(ctx, task, msg);
+  }
   virtual void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) {}
   virtual void TimerTick(AgentContext& ctx, const Message& msg) {}
   virtual void AgentWakeup(AgentContext& ctx, const Message& msg) {}
@@ -78,6 +95,13 @@ class DispatchPolicy : public Policy {
   // The message-driven thread view shared by the adapter and the subclass
   // (Restore() paths may rebuild it directly).
   TaskTable& table() { return table_; }
+  // Adds a thread from a kernel TaskDump to the table (Restore() paths).
+  PolicyTask* AdoptTask(const Enclave::TaskInfo& info);
+
+  // Whether this iteration's drain read at least one message.
+  bool drained() const { return drained_; }
+  // Inside a hook: the task's assigned_cpu before this message cleared it.
+  int assigned_before() const { return assigned_before_; }
 
   // Routes one message through the table and the hooks; exposed for
   // Restore()-style resync code that replays synthesized messages.
@@ -87,6 +111,8 @@ class DispatchPolicy : public Policy {
   TaskTable table_;
   std::vector<MessageQueue*> scratch_queues_;
   std::vector<Message> scratch_msgs_;
+  bool drained_ = false;
+  int assigned_before_ = -1;
   // Synthesized by the default Restore(); dispatched (then cleared) before
   // the queue drain of the next iteration. Deferred because Restore() runs
   // without an AgentContext.

@@ -30,12 +30,19 @@ void TaskTable::Remove(int64_t tid) {
   }
 }
 
-TaskTable::Event TaskTable::Apply(const Message& msg, PolicyTask** out) {
+TaskTable::Event TaskTable::Apply(const Message& msg, PolicyTask** out,
+                                  int* assigned_before) {
   *out = nullptr;
+  if (assigned_before != nullptr) {
+    *assigned_before = -1;
+  }
   if (msg.tid == 0) {
     return Event::kNone;  // CPU message (TIMER_TICK)
   }
   PolicyTask* task = Find(msg.tid);
+  if (task != nullptr && assigned_before != nullptr) {
+    *assigned_before = task->assigned_cpu;
+  }
 
   switch (msg.type) {
     case MessageType::kTaskNew: {

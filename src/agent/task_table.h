@@ -54,8 +54,10 @@ class TaskTable {
   };
 
   // Folds a message into the table. `*out` receives the affected task
-  // (nullptr for CPU messages / already-dead threads).
-  Event Apply(const Message& msg, PolicyTask** out);
+  // (nullptr for CPU messages / already-dead threads); `*assigned_before`,
+  // if given, receives the task's assigned_cpu before the message cleared
+  // it (-1 when there is no task).
+  Event Apply(const Message& msg, PolicyTask** out, int* assigned_before = nullptr);
 
   // Policies call Find once per message and per commit attempt — tens of
   // millions of times in a bench run — so the table is a flat hash over a

@@ -1,5 +1,7 @@
 #include "src/kernel/agent_class.h"
 
+#include <algorithm>
+
 #include "src/kernel/kernel.h"
 
 namespace gs {
@@ -39,8 +41,19 @@ int AgentClass::CpuOf(const Task* task) const {
 }
 
 void AgentClass::TaskDeparted(Task* task) {
+  // AgentProcess::Shutdown unregisters its agents before killing them, and
+  // UnregisterAgent already dropped the slot of a runnable one. Any other
+  // task must still hold its slot.
+  if (task->is_agent() && !Registered(task)) {
+    return;
+  }
   const int cpu = CpuOf(task);
   agents_[cpu].queued = false;
+}
+
+bool AgentClass::Registered(const Task* task) const {
+  return std::any_of(agents_.begin(), agents_.end(),
+                     [task](const Slot& slot) { return slot.task == task; });
 }
 
 void AgentClass::EnqueueWake(Task* task) {

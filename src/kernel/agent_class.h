@@ -41,6 +41,7 @@ class AgentClass : public SchedClass {
   };
 
   int CpuOf(const Task* task) const;
+  bool Registered(const Task* task) const;
 
   std::vector<Slot> agents_;
 };

@@ -20,19 +20,8 @@ bool AbTestPolicy::InCanary(int64_t tid) const {
 }
 
 void AbTestPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  cpus_.resize(kernel->topology().num_cpus());
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
-  }
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
+  queues_.Attach(process, enclave, kernel);
+  runqueues_.resize(kernel->topology().num_cpus());
 
   StatsRegistry& stats = *kernel->stats();
   const char* lane_name[2] = {"ab-base", "ab-canary"};
@@ -47,51 +36,34 @@ void AbTestPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* ker
 void AbTestPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Full view replacement (also the overflow-resync path). Lane membership is
   // recomputed from the tid hash; the cumulative lane counters survive.
-  for (CpuSched& sched : cpus_) {
-    sched.runqueue.Clear();
+  for (FifoRunqueue& rq : runqueues_) {
+    rq.Clear();
   }
-  home_cpu_.Clear();
+  queues_.ClearHomes();
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    const int home = NextHomeCpu();
-    home_cpu_.Insert(info.tid, home);
-    enclave_->AssociateQueue(info.tid, cpus_[home].queue);
+    PolicyTask* task = AdoptTask(info);
+    const int home = queues_.AssignHome(info.tid);
     if (info.runnable && !info.on_cpu) {
       task->queued = true;
-      cpus_[home].runqueue.Push(task);
+      runqueues_[home].Push(task);
     }
   }
 }
 
-int AbTestPolicy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
-}
-
 void AbTestPolicy::CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) {
-  const int cpu = ctx.agent_cpu();
-  if (cpu == boss_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
-  queues->push_back(cpus_[cpu].queue);
+  queues_.CollectQueues(ctx.agent_cpu(), queues);
 }
 
 void AbTestPolicy::TimerTick(AgentContext& ctx, const Message& msg) { rotate_ = true; }
 
 void AbTestPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  const int home = NextHomeCpu();
-  home_cpu_.Insert(msg.tid, home);
   ctx.Charge(ctx.kernel()->cost().syscall);
-  enclave_->AssociateQueue(msg.tid, cpus_[home].queue);
+  const int home = queues_.AssignHome(msg.tid);
   if (task->runnable && !task->queued) {
     task->queued = true;
-    cpus_[home].runqueue.Push(task);
-    NotifyAgent(ctx, home);
+    runqueues_[home].Push(task);
+    queues_.NotifyAgent(ctx, home);
   }
 }
 
@@ -103,14 +75,14 @@ void AbTestPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool fro
   if (!front && options_.canary_lifo && InCanary(task->tid)) {
     front = true;
   }
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
+  const int home = queues_.HomeOf(task->tid, ctx.agent_cpu());
   task->queued = true;
   if (front) {
-    cpus_[home].runqueue.PushFront(task);
+    runqueues_[home].PushFront(task);
   } else {
-    cpus_[home].runqueue.Push(task);
+    runqueues_[home].Push(task);
   }
-  NotifyAgent(ctx, home);
+  queues_.NotifyAgent(ctx, home);
 }
 
 void AbTestPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -121,22 +93,18 @@ void AbTestPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task, const Mess
   EnqueueRunnable(ctx, task, /*front=*/true);
 }
 
-void AbTestPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  EnqueueRunnable(ctx, task, /*front=*/false);
-}
-
 void AbTestPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
+    runqueues_[queues_.HomeOf(task->tid, ctx.agent_cpu())].Remove(task);
     task->queued = false;
   }
 }
 
 void AbTestPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
   if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
+    runqueues_[queues_.HomeOf(task->tid, ctx.agent_cpu())].Remove(task);
   }
-  home_cpu_.Erase(task->tid);
+  queues_.EraseHome(task->tid);
 }
 
 void AbTestPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -151,38 +119,21 @@ void AbTestPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task, const Messa
   Evict(ctx, task);
 }
 
-void AbTestPolicy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
-    return;
-  }
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
-  } else {
-    enclave_->PokeAgent(agent);
-  }
-}
-
 AgentAction AbTestPolicy::Schedule(AgentContext& ctx) {
   const int cpu = ctx.agent_cpu();
-  CpuSched& cs = cpus_[cpu];
+  FifoRunqueue& rq = runqueues_[cpu];
   const uint32_t aseq = ctx.ReadAseq();
   const bool rotate = rotate_;
   rotate_ = false;
 
-  if (cs.runqueue.empty()) {
+  if (rq.empty()) {
     return AgentAction::kBlock;
   }
-  if (rotate && cs.runqueue.size() >= 2) {
-    PolicyTask* front = cs.runqueue.Pop();
-    cs.runqueue.Push(front);
+  if (rotate && rq.size() >= 2) {
+    rq.Push(rq.Pop());
   }
 
-  PolicyTask* next = cs.runqueue.Pop();
+  PolicyTask* next = rq.Pop();
   next->queued = false;
   Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
   txn.expected_aseq = aseq;
@@ -199,24 +150,18 @@ AgentAction AbTestPolicy::Schedule(AgentContext& ctx) {
   if (txn.status == TxnStatus::kEStale) {
     ++estale_failures_;
     next->queued = true;
-    cs.runqueue.PushFront(next);
+    rq.PushFront(next);
     return AgentAction::kRunAgain;
   }
   if (next->runnable) {
     next->queued = true;
     if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      home_cpu_.Insert(next->tid, new_home);
-      cpus_[new_home].runqueue.Push(next);
-      NotifyAgent(ctx, new_home);
+      const int new_home = queues_.FirstAllowed(next->affinity, cpu);
+      queues_.SetHome(next->tid, new_home);
+      runqueues_[new_home].Push(next);
+      queues_.NotifyAgent(ctx, new_home);
     } else {
-      cs.runqueue.Push(next);
+      rq.Push(next);
     }
   }
   return AgentAction::kRunAgain;

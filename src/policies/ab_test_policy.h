@@ -21,12 +21,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
-#include "src/base/flat_map.h"
+#include "src/agent/sdk/sdk.h"
 #include "src/stats/stats.h"
 
 namespace gs {
@@ -61,8 +56,8 @@ class AbTestPolicy : public DispatchPolicy {
   uint64_t estale_failures() const { return estale_failures_; }
   int RunqueueDepth() const override {
     int total = 0;
-    for (const CpuSched& sched : cpus_) {
-      total += static_cast<int>(sched.runqueue.size());
+    for (const FifoRunqueue& rq : runqueues_) {
+      total += static_cast<int>(rq.size());
     }
     return total;
   }
@@ -73,37 +68,20 @@ class AbTestPolicy : public DispatchPolicy {
   void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TimerTick(AgentContext& ctx, const Message& msg) override;
 
  private:
-  struct CpuSched {
-    MessageQueue* queue = nullptr;
-    FifoRunqueue runqueue;
-  };
-
   // lane index: 0 = base, 1 = canary.
   int LaneOf(int64_t tid) const { return InCanary(tid) ? 1 : 0; }
   void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front);
   void Evict(AgentContext& ctx, PolicyTask* task);
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  int NextHomeCpu();
-  int HomeOf(int64_t tid, int fallback) {
-    const int* home = home_cpu_.Find(tid);
-    return home == nullptr ? fallback : *home;
-  }
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  std::vector<CpuSched> cpus_;
-  TidMap<int> home_cpu_;
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;
+  PerCpuQueues queues_;
+  std::vector<FifoRunqueue> runqueues_;  // dense cpu -> runqueue
   bool rotate_ = false;
 
   LaneCounters lanes_[2];

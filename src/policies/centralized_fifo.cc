@@ -1,7 +1,5 @@
 #include "src/policies/centralized_fifo.h"
 
-#include "src/agent/agent_process.h"
-
 #include <algorithm>
 
 namespace gs {
@@ -15,8 +13,7 @@ CentralizedFifoPolicy::CentralizedFifoPolicy(Options options) : options_(std::mo
 void CentralizedFifoPolicy::Attached(AgentProcess* process, Enclave* enclave,
                                      Kernel* kernel) {
   enclave_ = enclave;
-  process_ = process;
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
+  global_.Attach(process, enclave, options_.global_cpu);
   running_.assign(kernel->topology().num_cpus(), Running{});
   if (options_.use_fastpath) {
     enclave->InstallFastPath(RingFastPath::Global(kernel->topology().num_cpus()));
@@ -29,16 +26,13 @@ void CentralizedFifoPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) 
   fifo_[0].Clear();
   fifo_[1].Clear();
   running_.assign(running_.size(), Running{});
-  table_.Clear();
+  table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
     // Route future messages to this policy's (default) queue, regardless of
     // what the previous agent had configured.
     CHECK(enclave_->AssociateQueue(info.tid, enclave_->default_queue()));
-    PolicyTask* task = table_.Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
+    PolicyTask* task = AdoptTask(info);
     task->tier = options_.tier_of(info.tid);
-    task->runnable = info.runnable;
     if (info.on_cpu) {
       task->assigned_cpu = info.cpu;
       running_[info.cpu] = Running{task, 0};
@@ -63,13 +57,6 @@ void CentralizedFifoPolicy::Enqueue(PolicyTask* task, bool front) {
   }
 }
 
-void CentralizedFifoPolicy::DequeueFromRunqueue(PolicyTask* task) {
-  if (task->queued) {
-    CHECK(fifo_[task->tier].Remove(task));
-    task->queued = false;
-  }
-}
-
 PolicyTask* CentralizedFifoPolicy::PopTier(int tier) {
   PolicyTask* task = fifo_[tier].Pop();
   if (task != nullptr) {
@@ -83,96 +70,61 @@ PolicyTask* CentralizedFifoPolicy::PopNext() {
   return task != nullptr ? task : PopTier(1);
 }
 
-void CentralizedFifoPolicy::ClearRunning(PolicyTask* task) {
-  const int cpu = task->assigned_cpu;
-  if (cpu >= 0 && cpu < static_cast<int>(running_.size()) &&
-      running_[cpu].task == task) {
+void CentralizedFifoPolicy::ClearRunning(PolicyTask* task, int cpu) {
+  if (cpu >= 0 && cpu < static_cast<int>(running_.size()) && running_[cpu].task == task) {
     running_[cpu] = Running{};
   }
 }
 
-void CentralizedFifoPolicy::HandleMessage(const Message& msg) {
-  // Snapshot the pre-apply assignment: Apply() clears it.
-  PolicyTask* prior = table_.Find(msg.tid);
-  const int prior_cpu = prior != nullptr ? prior->assigned_cpu : -1;
-
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew:
-      task->tier = options_.tier_of(task->tid);
-      if (task->runnable && !task->queued) {
-        Enqueue(task, /*front=*/false);
-      }
-      break;
-    case TaskTable::Event::kRunnable:
-      if (prior_cpu >= 0 && prior_cpu < static_cast<int>(running_.size()) &&
-          running_[prior_cpu].task == task) {
-        running_[prior_cpu] = Running{};
-      }
-      if (!task->queued) {
-        // Preempted / expired requests rejoin at the back (Shinjuku FIFO).
-        Enqueue(task, /*front=*/false);
-      }
-      break;
-    case TaskTable::Event::kBlocked:
-      if (prior_cpu >= 0 && prior_cpu < static_cast<int>(running_.size()) &&
-          running_[prior_cpu].task == task) {
-        running_[prior_cpu] = Running{};
-      }
-      DequeueFromRunqueue(task);
-      break;
-    case TaskTable::Event::kDead:
-      ClearRunning(task);
-      DequeueFromRunqueue(task);
-      table_.Remove(msg.tid);
-      break;
-    case TaskTable::Event::kAffinity:
-    case TaskTable::Event::kNone:
-      break;
+void CentralizedFifoPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  task->tier = options_.tier_of(task->tid);
+  if (task->runnable && !task->queued) {
+    Enqueue(task, /*front=*/false);
   }
 }
 
-AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;  // inactive agent (Fig 2)
+// Woken, preempted and expired requests all rejoin at the back (Shinjuku
+// FIFO).
+void CentralizedFifoPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task,
+                                       const Message& msg) {
+  ClearRunning(task, assigned_before());
+  if (!task->queued) {
+    Enqueue(task, /*front=*/false);
   }
-  bool progress = false;
+}
+
+void CentralizedFifoPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task,
+                                        const Message& msg) {
+  ClearRunning(task, assigned_before());
+  if (task->queued) {
+    CHECK(fifo_[task->tier].Remove(task));
+    task->queued = false;
+  }
+}
+
+void CentralizedFifoPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  TaskBlocked(ctx, task, msg);
+}
+
+std::optional<AgentAction> CentralizedFifoPolicy::PreDrain(AgentContext& ctx) {
+  if (std::optional<AgentAction> inactive = global_.Gate(ctx)) {
+    return inactive;
+  }
   ctx.Charge(options_.extra_loop_cost);
-
-  // Hot handoff (§3.3): if the kernel wants to run a non-ghOSt thread on
-  // this CPU, wake the inactive agent on an idle CPU to become the new
-  // global agent, then vacate. Policy state is shared process memory, so the
-  // successor resumes seamlessly.
-  if (ctx.HigherClassWaitersOn(global_cpu_)) {
-    const CpuMask idle = ctx.AvailableCpus();
-    for (int cpu = idle.First(); cpu >= 0; cpu = idle.NextAfter(cpu)) {
-      Task* successor = process_->agent_on(cpu);
-      if (successor == nullptr || successor->state() != TaskState::kBlocked) {
-        continue;
-      }
-      global_cpu_ = cpu;
-      ++hot_handoffs_;
-      ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-      ctx.kernel()->Wake(successor);
-      // Yield (not block): the waiting CFS thread takes this CPU, and the
-      // old agent re-blocks as a normal inactive agent on its next run.
-      return AgentAction::kYield;
-    }
-    // No idle CPU to hand off to: keep scheduling (the kernel thread waits,
-    // exactly as when all CPUs are busy).
+  if (global_.HandOff(ctx)) {
+    return AgentAction::kYield;
   }
+  return std::nullopt;
+}
 
-  // 1. Drain the global queue (Fig 4: DrainMessageQueue()).
-  scratch_msgs_.clear();
-  if (ctx.Drain(enclave_->default_queue(), &scratch_msgs_) > 0) {
-    progress = true;
-  }
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(msg);
-  }
+void CentralizedFifoPolicy::CollectQueues(AgentContext& ctx,
+                                          std::vector<MessageQueue*>* queues) {
+  queues->push_back(enclave_->default_queue());  // Fig 4: DrainMessageQueue()
+}
 
-  assignments_scratch_.clear();
-  std::vector<std::pair<int, PolicyTask*>>& assignments = assignments_scratch_;
+AgentAction CentralizedFifoPolicy::Schedule(AgentContext& ctx) {
+  bool progress = drained();
+  batch_.Clear();
 
   // 2. Timeslice rotation (Shinjuku: preempt after the allotted slice and
   // move the request to the back of the FIFO).
@@ -191,7 +143,7 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
         next = PopTier(1);
       }
       if (next != nullptr) {
-        assignments.emplace_back(cpu, next);
+        batch_.Add(cpu, next);
         ++preemptions_;
       }
     }
@@ -207,10 +159,8 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
       if (fifo_[0].empty()) {
         break;
       }
-      if (run.task->tier == 1 &&
-          std::none_of(assignments.begin(), assignments.end(),
-                       [cpu](const auto& a) { return a.first == cpu; })) {
-        assignments.emplace_back(cpu, PopTier(0));
+      if (run.task->tier == 1 && !batch_.Targets(cpu)) {
+        batch_.Add(cpu, PopTier(0));
         ++preemptions_;
       }
     }
@@ -224,44 +174,27 @@ AgentAction CentralizedFifoPolicy::RunAgent(AgentContext& ctx) {
       break;
     }
     ctx.Charge(ctx.kernel()->cost().agent_per_task_scan);
-    assignments.emplace_back(cpu, next);
+    batch_.Add(cpu, next);
   }
 
   // 5. Group-commit all assignments (Fig 4: Schedule()), split into chunks
   // of at most max_group_commit transactions per syscall.
-  if (!assignments.empty()) {
-    txn_storage_scratch_.assign(assignments.size(), Transaction{});
-    txn_ptrs_scratch_.resize(assignments.size());
-    std::vector<Transaction>& storage = txn_storage_scratch_;
-    std::vector<Transaction*>& txns = txn_ptrs_scratch_;
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      storage[i] = AgentContext::MakeTxn(assignments[i].second->tid, assignments[i].first);
-      if (options_.use_tseq) {
-        storage[i].expected_tseq = assignments[i].second->tseq;
-      }
-      txns[i] = &storage[i];
-    }
-    const size_t chunk = static_cast<size_t>(options_.max_group_commit);
-    for (size_t off = 0; off < txns.size(); off += chunk) {
-      ctx.Commit(std::span<Transaction*>(txns).subspan(off, std::min(chunk, txns.size() - off)));
-    }
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      auto [cpu, task] = assignments[i];
-      if (storage[i].committed()) {
-        task->assigned_cpu = cpu;
-        task->last_cpu = cpu;
-        running_[cpu] = Running{task, ctx.start() + ctx.cost()};
-        ++scheduled_;
-        progress = true;
-      } else {
-        ++txn_failures_;
-        // Transaction failed: re-enqueue and retry next loop (Fig 4).
-        if (task->runnable && !task->queued) {
-          Enqueue(task, /*front=*/true);
-        }
-      }
-    }
-  }
+  batch_.Commit(ctx, options_.use_tseq, options_.max_group_commit,
+                [&](int cpu, PolicyTask* task, bool committed) {
+                  if (committed) {
+                    task->assigned_cpu = cpu;
+                    task->last_cpu = cpu;
+                    running_[cpu] = Running{task, ctx.start() + ctx.cost()};
+                    ++scheduled_;
+                    progress = true;
+                  } else {
+                    ++txn_failures_;
+                    // Transaction failed: re-enqueue and retry next loop (Fig 4).
+                    if (task->runnable && !task->queued) {
+                      Enqueue(task, /*front=*/true);
+                    }
+                  }
+                });
 
   // 6. Arm the next slice-expiry wakeup so preemption is punctual even when
   // no messages arrive. Pointless (and livelock-prone) unless someone is

@@ -27,24 +27,16 @@ int O1Policy::ClampPriority(int prio) const {
 }
 
 void O1Policy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    cs.arrays[0].Resize(options_.num_priorities);
-    cs.arrays[1].Resize(options_.num_priorities);
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
+  queues_.Attach(process, enclave, kernel);
+  cpus_.resize(kernel->topology().num_cpus());
+  for (int cpu : queues_.cpus()) {
+    cpus_[cpu].arrays[0].Resize(options_.num_priorities);
+    cpus_[cpu].arrays[1].Resize(options_.num_priorities);
   }
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
 }
 
 void O1Policy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
-  for (auto& [cpu, sched] : cpus_) {
+  for (CpuSched& sched : cpus_) {
     sched.arrays[0].Clear();
     sched.arrays[1].Clear();
     sched.active = 0;
@@ -52,13 +44,10 @@ void O1Policy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   states_.clear();
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
+    PolicyTask* task = AdoptTask(info);
     O1Task& st = AttachState(task);
-    st.home = NextHomeCpu();
-    enclave_->AssociateQueue(info.tid, cpus_[st.home].queue);
+    st.home = queues_.NextHomeCpu();
+    queues_.Route(info.tid, st.home);
     if (info.runnable && !info.on_cpu) {
       task->queued = true;
       st.array = cpus_[st.home].active;
@@ -69,7 +58,7 @@ void O1Policy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
 
 int O1Policy::RunqueueDepth() const {
   int total = 0;
-  for (const auto& [cpu, sched] : cpus_) {
+  for (const CpuSched& sched : cpus_) {
     total += static_cast<int>(sched.arrays[0].size() + sched.arrays[1].size());
   }
   return total;
@@ -85,18 +74,8 @@ O1Policy::O1Task& O1Policy::AttachState(PolicyTask* task) {
   return st;
 }
 
-int O1Policy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
-}
-
 void O1Policy::CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) {
-  const int cpu = ctx.agent_cpu();
-  if (cpu == boss_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
-  queues->push_back(cpus_[cpu].queue);
+  queues_.CollectQueues(ctx.agent_cpu(), queues);
 }
 
 void O1Policy::ChargeRuntime(AgentContext& ctx, PolicyTask* task) {
@@ -113,7 +92,7 @@ void O1Policy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool expired
   task->queued = true;
   st.array = expired ? 1 - cs.active : cs.active;
   cs.arrays[st.array].Push(task, st.prio, front);
-  NotifyAgent(ctx, st.home);
+  queues_.NotifyAgent(ctx, st.home);
 }
 
 void O1Policy::Dequeue(PolicyTask* task) {
@@ -127,9 +106,9 @@ void O1Policy::Dequeue(PolicyTask* task) {
 
 void O1Policy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   O1Task& st = AttachState(task);
-  st.home = NextHomeCpu();
+  st.home = queues_.NextHomeCpu();
   ctx.Charge(ctx.kernel()->cost().syscall);
-  enclave_->AssociateQueue(msg.tid, cpus_[st.home].queue);
+  queues_.Route(msg.tid, st.home);
   if (task->runnable) {
     EnqueueRunnable(ctx, task, /*expired=*/false, /*front=*/false);
   }
@@ -172,18 +151,10 @@ void O1Policy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& m
   Dequeue(task);
 }
 
-void O1Policy::Evict(AgentContext& ctx, PolicyTask* task) {
+void O1Policy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   Dequeue(task);
   states_.erase(task->tid);
   // The DispatchPolicy base removes the TaskTable entry after this hook.
-}
-
-void O1Policy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  Evict(ctx, task);
-}
-
-void O1Policy::TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  Evict(ctx, task);
 }
 
 void O1Policy::TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -191,13 +162,7 @@ void O1Policy::TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& 
   if (task->affinity.IsSet(st.home)) {
     return;
   }
-  int new_home = -1;
-  for (int candidate : cpu_list_) {
-    if (task->affinity.IsSet(candidate)) {
-      new_home = candidate;
-      break;
-    }
-  }
+  const int new_home = queues_.FirstAllowed(task->affinity, -1);
   if (new_home < 0) {
     return;
   }
@@ -205,25 +170,9 @@ void O1Policy::TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& 
   Dequeue(task);
   st.home = new_home;
   ctx.Charge(ctx.kernel()->cost().syscall);
-  enclave_->AssociateQueue(task->tid, cpus_[new_home].queue);
+  queues_.Route(task->tid, new_home);
   if (was_queued) {
     EnqueueRunnable(ctx, task, /*expired=*/false, /*front=*/false);
-  }
-}
-
-void O1Policy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
-    return;
-  }
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
-  } else {
-    enclave_->PokeAgent(agent);
   }
 }
 
@@ -265,14 +214,7 @@ AgentAction O1Policy::Schedule(AgentContext& ctx) {
   }
   if (next->runnable) {
     if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      st.home = new_home;
+      st.home = queues_.FirstAllowed(next->affinity, cpu);
       EnqueueRunnable(ctx, next, /*expired=*/false, /*front=*/false);
     } else {
       next->queued = true;

@@ -16,10 +16,11 @@
 // gets a fresh slice and re-enters the ACTIVE array (sleepers are rewarded);
 // a task that calls sched_yield is demoted to the expired array.
 //
-// SDK consumer: message boilerplate lives in DispatchPolicy, the priority
-// arrays are sdk PrioArrayRunqueues, and slice accounting is an sdk
-// SliceBudget per task; this file keeps only the active/expired generation
-// logic and per-CPU homing that make the policy O(1)-shaped.
+// SDK consumer: message boilerplate lives in DispatchPolicy, queue plumbing
+// and homing in PerCpuQueues, the priority arrays are sdk
+// PrioArrayRunqueues, and slice accounting is an sdk SliceBudget per task;
+// this file keeps only the active/expired generation logic that makes the
+// policy O(1)-shaped.
 #ifndef GHOST_SIM_SRC_POLICIES_O1_H_
 #define GHOST_SIM_SRC_POLICIES_O1_H_
 
@@ -28,8 +29,6 @@
 #include <map>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
 #include "src/agent/sdk/sdk.h"
 
 namespace gs {
@@ -74,7 +73,6 @@ class O1Policy : public DispatchPolicy {
   void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
  private:
@@ -87,7 +85,6 @@ class O1Policy : public DispatchPolicy {
   };
 
   struct CpuSched {
-    MessageQueue* queue = nullptr;
     PrioArrayRunqueue arrays[2];
     int active = 0;  // index of the active array; 1 - active is expired
   };
@@ -100,19 +97,12 @@ class O1Policy : public DispatchPolicy {
   // `front` resumes an unfinished slice at the queue head.
   void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool expired, bool front);
   void Dequeue(PolicyTask* task);
-  void Evict(AgentContext& ctx, PolicyTask* task);
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  int NextHomeCpu();
   int ClampPriority(int prio) const;
 
   Options options_;
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  std::map<int, CpuSched> cpus_;
+  PerCpuQueues queues_;
+  std::vector<CpuSched> cpus_;        // dense cpu -> priority arrays
   std::map<int64_t, O1Task> states_;  // tid -> O1 state (PolicyTask::user)
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;
 
   uint64_t scheduled_ = 0;
   uint64_t estale_failures_ = 0;

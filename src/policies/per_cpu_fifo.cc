@@ -3,65 +3,37 @@
 namespace gs {
 
 void PerCpuFifoPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  cpus_.resize(kernel->topology().num_cpus());
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
-  }
-  // New-thread announcements land on the default queue; the boss agent
-  // drains it and spreads threads round-robin via ASSOCIATE_QUEUE.
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
+  queues_.Attach(process, enclave, kernel);
+  runqueues_.resize(kernel->topology().num_cpus());
 }
 
 void PerCpuFifoPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Full view replacement (also the overflow-resync path).
-  for (CpuSched& sched : cpus_) {
-    sched.runqueue.Clear();
+  for (FifoRunqueue& rq : runqueues_) {
+    rq.Clear();
   }
-  home_cpu_.Clear();
+  queues_.ClearHomes();
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    const int home = NextHomeCpu();
-    home_cpu_.Insert(info.tid, home);
-    enclave_->AssociateQueue(info.tid, cpus_[home].queue);
+    PolicyTask* task = AdoptTask(info);
+    const int home = queues_.AssignHome(info.tid);
     if (info.runnable && !info.on_cpu) {
       task->queued = true;
-      cpus_[home].runqueue.Push(task);
+      runqueues_[home].Push(task);
     }
   }
 }
 
 size_t PerCpuFifoPolicy::QueueDepth(int cpu) const {
-  if (cpu < 0 || cpu >= static_cast<int>(cpus_.size())) {
+  if (cpu < 0 || cpu >= static_cast<int>(runqueues_.size())) {
     return 0;
   }
-  return cpus_[cpu].runqueue.size();
-}
-
-int PerCpuFifoPolicy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
+  return runqueues_[cpu].size();
 }
 
 void PerCpuFifoPolicy::CollectQueues(AgentContext& ctx,
                                      std::vector<MessageQueue*>* queues) {
-  const int cpu = ctx.agent_cpu();
-  if (cpu == boss_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
-  queues->push_back(cpus_[cpu].queue);
+  queues_.CollectQueues(ctx.agent_cpu(), queues);
 }
 
 void PerCpuFifoPolicy::TimerTick(AgentContext& ctx, const Message& msg) {
@@ -69,16 +41,12 @@ void PerCpuFifoPolicy::TimerTick(AgentContext& ctx, const Message& msg) {
 }
 
 void PerCpuFifoPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  const int home = NextHomeCpu();
-  home_cpu_.Insert(msg.tid, home);
   ctx.Charge(ctx.kernel()->cost().syscall);
-  // May fail if more messages are pending on the default queue for this
-  // thread; retried when they are drained.
-  enclave_->AssociateQueue(msg.tid, cpus_[home].queue);
+  const int home = queues_.AssignHome(msg.tid);
   if (task->runnable && !task->queued) {
     task->queued = true;
-    cpus_[home].runqueue.Push(task);
-    NotifyAgent(ctx, home);
+    runqueues_[home].Push(task);
+    queues_.NotifyAgent(ctx, home);
   }
 }
 
@@ -86,14 +54,14 @@ void PerCpuFifoPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool
   if (task->queued) {
     return;
   }
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
+  const int home = queues_.HomeOf(task->tid, ctx.agent_cpu());
   task->queued = true;
   if (front) {
-    cpus_[home].runqueue.PushFront(task);  // resume after the interruption
+    runqueues_[home].PushFront(task);  // resume after the interruption
   } else {
-    cpus_[home].runqueue.Push(task);
+    runqueues_[home].Push(task);
   }
-  NotifyAgent(ctx, home);
+  queues_.NotifyAgent(ctx, home);
 }
 
 void PerCpuFifoPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {
@@ -105,99 +73,59 @@ void PerCpuFifoPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task,
   EnqueueRunnable(ctx, task, /*front=*/true);
 }
 
-void PerCpuFifoPolicy::TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  EnqueueRunnable(ctx, task, /*front=*/false);
-}
-
 void PerCpuFifoPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) {
   if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
+    runqueues_[queues_.HomeOf(task->tid, ctx.agent_cpu())].Remove(task);
     task->queued = false;
   }
 }
 
-void PerCpuFifoPolicy::Evict(AgentContext& ctx, PolicyTask* task) {
-  if (task->queued) {
-    cpus_[HomeOf(task->tid, ctx.agent_cpu())].runqueue.Remove(task);
-  }
-  home_cpu_.Erase(task->tid);
-  // The DispatchPolicy base removes the TaskTable entry after this hook.
-}
-
 void PerCpuFifoPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
-  Evict(ctx, task);
-}
-
-void PerCpuFifoPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task,
-                                    const Message& msg) {
-  Evict(ctx, task);
+  if (task->queued) {
+    runqueues_[queues_.HomeOf(task->tid, ctx.agent_cpu())].Remove(task);
+  }
+  queues_.EraseHome(task->tid);
+  // The DispatchPolicy base removes the TaskTable entry after this hook.
 }
 
 void PerCpuFifoPolicy::TaskAffinity(AgentContext& ctx, PolicyTask* task,
                                     const Message& msg) {
   // sched_setaffinity may have excluded the task's home CPU: re-home it
   // to an allowed enclave CPU (and move any queued entry along).
-  const int home = HomeOf(task->tid, ctx.agent_cpu());
+  const int home = queues_.HomeOf(task->tid, ctx.agent_cpu());
   if (task->affinity.IsSet(home)) {
     return;
   }
-  int new_home = -1;
-  for (int candidate : cpu_list_) {
-    if (task->affinity.IsSet(candidate)) {
-      new_home = candidate;
-      break;
-    }
-  }
+  const int new_home = queues_.FirstAllowed(task->affinity, -1);
   if (new_home < 0) {
     return;
   }
   if (task->queued) {
-    cpus_[home].runqueue.Remove(task);
-    cpus_[new_home].runqueue.Push(task);
+    runqueues_[home].Remove(task);
+    runqueues_[new_home].Push(task);
   }
-  home_cpu_.Insert(task->tid, new_home);
+  queues_.SetHome(task->tid, new_home);
   ctx.Charge(ctx.kernel()->cost().syscall);
-  enclave_->AssociateQueue(task->tid, cpus_[new_home].queue);
-  NotifyAgent(ctx, new_home);
-}
-
-void PerCpuFifoPolicy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
-    return;
-  }
-  // Userspace cross-agent notification (futex-style): wake the sibling agent
-  // so it schedules the work we just queued for it.
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
-  } else {
-    // The sibling is mid-iteration (or queued to run): flag the push so its
-    // check-then-sleep re-runs instead of blocking over a non-empty runqueue.
-    enclave_->PokeAgent(agent);
-  }
+  queues_.Route(task->tid, new_home);
+  queues_.NotifyAgent(ctx, new_home);
 }
 
 AgentAction PerCpuFifoPolicy::Schedule(AgentContext& ctx) {
   const int cpu = ctx.agent_cpu();
-  CpuSched& cs = cpus_[cpu];
+  FifoRunqueue& rq = runqueues_[cpu];
   const uint32_t aseq = ctx.ReadAseq();
   const bool rotate = rotate_;
   rotate_ = false;
 
-  if (cs.runqueue.empty()) {
+  if (rq.empty()) {
     return AgentAction::kBlock;
   }
   // Round-robin on timer ticks: rotate the interrupted thread to the back.
-  if (rotate && cs.runqueue.size() >= 2) {
-    PolicyTask* front = cs.runqueue.Pop();
-    cs.runqueue.Push(front);
+  if (rotate && rq.size() >= 2) {
+    rq.Push(rq.Pop());
   }
 
-  PolicyTask* next = cs.runqueue.Pop();
+  PolicyTask* next = rq.Pop();
   next->queued = false;
   Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
   txn.expected_aseq = aseq;
@@ -213,7 +141,7 @@ AgentAction PerCpuFifoPolicy::Schedule(AgentContext& ctx) {
   if (txn.status == TxnStatus::kEStale) {
     ++estale_failures_;
     next->queued = true;
-    cs.runqueue.PushFront(next);
+    rq.PushFront(next);
     return AgentAction::kRunAgain;  // drain the newer messages and retry
   }
   // Other failure: if the thread may no longer run here, re-home it;
@@ -221,18 +149,12 @@ AgentAction PerCpuFifoPolicy::Schedule(AgentContext& ctx) {
   if (next->runnable) {
     next->queued = true;
     if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      home_cpu_.Insert(next->tid, new_home);
-      cpus_[new_home].runqueue.Push(next);
-      NotifyAgent(ctx, new_home);
+      const int new_home = queues_.FirstAllowed(next->affinity, cpu);
+      queues_.SetHome(next->tid, new_home);
+      runqueues_[new_home].Push(next);
+      queues_.NotifyAgent(ctx, new_home);
     } else {
-      cs.runqueue.Push(next);
+      rq.Push(next);
     }
   }
   return AgentAction::kRunAgain;

@@ -7,21 +7,16 @@
 // thread, commits a local transaction tagged with its Aseq, and yields; an
 // ESTALE failure sends it back around the loop, exactly as in Fig 3.
 //
-// Reference consumer of the DispatchPolicy adapter: message boilerplate
-// (queue draining, TaskTable upkeep, per-type routing) lives in the base
-// class; this file keeps only the FIFO decisions — which runqueue a task
-// lands in per message type, and what Schedule() commits.
+// SDK consumer: message boilerplate (queue draining, TaskTable upkeep,
+// per-type routing) lives in DispatchPolicy and the per-CPU queue plumbing
+// in PerCpuQueues; this file keeps only the FIFO decisions — which runqueue
+// a task lands in per message type, and what Schedule() commits.
 #ifndef GHOST_SIM_SRC_POLICIES_PER_CPU_FIFO_H_
 #define GHOST_SIM_SRC_POLICIES_PER_CPU_FIFO_H_
 
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
-#include "src/agent/dispatch_policy.h"
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
-#include "src/base/flat_map.h"
+#include "src/agent/sdk/sdk.h"
 
 namespace gs {
 
@@ -36,8 +31,8 @@ class PerCpuFifoPolicy : public DispatchPolicy {
   size_t QueueDepth(int cpu) const;
   int RunqueueDepth() const override {
     int total = 0;
-    for (const CpuSched& sched : cpus_) {
-      total += static_cast<int>(sched.runqueue.size());
+    for (const FifoRunqueue& rq : runqueues_) {
+      total += static_cast<int>(rq.size());
     }
     return total;
   }
@@ -49,42 +44,19 @@ class PerCpuFifoPolicy : public DispatchPolicy {
   void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TimerTick(AgentContext& ctx, const Message& msg) override;
 
  private:
-  struct CpuSched {
-    MessageQueue* queue = nullptr;
-    FifoRunqueue runqueue;
-  };
-
   // Queues a freshly runnable task on its home CPU (front = resume-after-
   // preemption semantics) and notifies that CPU's agent.
   void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front);
-  // Drops a task's runqueue link and home mapping (dead/departed).
-  void Evict(AgentContext& ctx, PolicyTask* task);
-  // Wakes the (blocked) agent of `cpu` so it notices freshly queued work.
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  // Round-robin target for newly arrived threads.
-  int NextHomeCpu();
-  int HomeOf(int64_t tid, int fallback) {
-    const int* home = home_cpu_.Find(tid);
-    return home == nullptr ? fallback : *home;
-  }
 
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  // Dense cpu -> scheduling state (queue == nullptr for CPUs outside the
-  // enclave); indexed on every message and every Schedule() call.
-  std::vector<CpuSched> cpus_;
-  TidMap<int> home_cpu_;  // tid -> owning CPU
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;  // drains the default queue (new-thread announcements)
+  PerCpuQueues queues_;
+  // Dense cpu -> runqueue; indexed on every message and Schedule() call.
+  std::vector<FifoRunqueue> runqueues_;
   bool rotate_ = false;  // a TIMER_TICK landed this iteration
 
   uint64_t scheduled_ = 0;

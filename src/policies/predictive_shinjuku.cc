@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/agent/agent_process.h"
 #include "src/base/logging.h"
 
 namespace gs {
@@ -19,8 +18,7 @@ PredictiveShinjukuPolicy::PredictiveShinjukuPolicy(Options options)
 void PredictiveShinjukuPolicy::Attached(AgentProcess* process, Enclave* enclave,
                                         Kernel* kernel) {
   enclave_ = enclave;
-  process_ = process;
-  global_cpu_ = options_.global_cpu >= 0 ? options_.global_cpu : enclave->cpus().First();
+  global_.Attach(process, enclave, options_.global_cpu);
   running_.assign(kernel->topology().num_cpus(), Running{});
 }
 
@@ -35,11 +33,8 @@ void PredictiveShinjukuPolicy::Restore(const std::vector<Enclave::TaskInfo>& dum
   table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
     CHECK(enclave_->AssociateQueue(info.tid, enclave_->default_queue()));
-    PolicyTask* task = table().Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
+    PolicyTask* task = AdoptTask(info);
     task->tier = options_.tier_of(info.tid);
-    task->runnable = info.runnable;
     PredTask& st = AttachState(task);
     // No status-word context for a mid-flight interval: restart training at
     // the next wakeup and classify conservatively as short (the backstop
@@ -178,10 +173,7 @@ void PredictiveShinjukuPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task
 
 void PredictiveShinjukuPolicy::TaskYield(AgentContext& ctx, PolicyTask* task,
                                          const Message& msg) {
-  ClearRunning(task);
-  if (!task->queued) {
-    Enqueue(task, /*front=*/false);
-  }
+  TaskPreempted(ctx, task, msg);  // not a new request: keep lane and baseline
 }
 
 void PredictiveShinjukuPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task,
@@ -200,41 +192,22 @@ void PredictiveShinjukuPolicy::TaskDead(AgentContext& ctx, PolicyTask* task,
   states_.erase(task->tid);
 }
 
-void PredictiveShinjukuPolicy::TaskDeparted(AgentContext& ctx, PolicyTask* task,
-                                            const Message& msg) {
-  TaskDead(ctx, task, msg);
+std::optional<AgentAction> PredictiveShinjukuPolicy::PreDrain(AgentContext& ctx) {
+  return global_.Gate(ctx);
 }
 
 void PredictiveShinjukuPolicy::CollectQueues(AgentContext& ctx,
                                              std::vector<MessageQueue*>* queues) {
-  if (ctx.agent_cpu() == global_cpu_) {
-    queues->push_back(enclave_->default_queue());
-  }
+  queues->push_back(enclave_->default_queue());
 }
 
 AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
-  if (ctx.agent_cpu() != global_cpu_) {
-    return AgentAction::kBlock;  // inactive agent (Fig 2)
+  // Hot handoff (§3.3), after the drain (the probe-based centralized policy
+  // hands off before it).
+  if (global_.HandOff(ctx)) {
+    return AgentAction::kYield;
   }
-
-  // Hot handoff (§3.3), exactly as in the probe-based centralized policy.
-  if (ctx.HigherClassWaitersOn(global_cpu_)) {
-    const CpuMask idle = ctx.AvailableCpus();
-    for (int cpu = idle.First(); cpu >= 0; cpu = idle.NextAfter(cpu)) {
-      Task* successor = process_->agent_on(cpu);
-      if (successor == nullptr || successor->state() != TaskState::kBlocked) {
-        continue;
-      }
-      global_cpu_ = cpu;
-      ++hot_handoffs_;
-      ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-      ctx.kernel()->Wake(successor);
-      return AgentAction::kYield;
-    }
-  }
-
-  assignments_scratch_.clear();
-  std::vector<std::pair<int, PolicyTask*>>& assignments = assignments_scratch_;
+  batch_.Clear();
 
   // 1. Fill idle CPUs first. Probe-Shinjuku preempts before it ever looks
   // at the idle set; doing it in this order means a long request is never
@@ -246,7 +219,7 @@ AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
       break;
     }
     ctx.Charge(ctx.kernel()->cost().agent_per_task_scan);
-    assignments.emplace_back(cpu, next);
+    batch_.Add(cpu, next);
   }
 
   // 2. Latency-critical work still waiting means every CPU is busy: preempt,
@@ -281,7 +254,7 @@ AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
       if (preempt) {
         PolicyTask* next = PopRequestLane();
         if (next != nullptr) {
-          assignments.emplace_back(cpu, next);
+          batch_.Add(cpu, next);
           ++preemptions_;
         }
       }
@@ -290,37 +263,22 @@ AgentAction PredictiveShinjukuPolicy::Schedule(AgentContext& ctx) {
 
   // 3. Group-commit all assignments.
   bool progress = false;
-  if (!assignments.empty()) {
-    txn_storage_scratch_.assign(assignments.size(), Transaction{});
-    txn_ptrs_scratch_.resize(assignments.size());
-    std::vector<Transaction>& storage = txn_storage_scratch_;
-    std::vector<Transaction*>& txns = txn_ptrs_scratch_;
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      storage[i] = AgentContext::MakeTxn(assignments[i].second->tid,
-                                         assignments[i].first);
-      if (options_.use_tseq) {
-        storage[i].expected_tseq = assignments[i].second->tseq;
-      }
-      txns[i] = &storage[i];
-    }
-    ctx.Commit(txns);
-    for (size_t i = 0; i < assignments.size(); ++i) {
-      auto [cpu, task] = assignments[i];
-      if (storage[i].committed()) {
-        task->assigned_cpu = cpu;
-        task->last_cpu = cpu;
-        StateOf(task).on_cpu = cpu;
-        running_[cpu] = Running{task, ctx.start() + ctx.cost()};
-        ++scheduled_;
-        progress = true;
-      } else {
-        ++txn_failures_;
-        if (task->runnable && !task->queued) {
-          Enqueue(task, /*front=*/true);
-        }
-      }
-    }
-  }
+  batch_.Commit(ctx, options_.use_tseq, INT32_MAX,
+                [&](int cpu, PolicyTask* task, bool committed) {
+                  if (committed) {
+                    task->assigned_cpu = cpu;
+                    task->last_cpu = cpu;
+                    StateOf(task).on_cpu = cpu;
+                    running_[cpu] = Running{task, ctx.start() + ctx.cost()};
+                    ++scheduled_;
+                    progress = true;
+                  } else {
+                    ++txn_failures_;
+                    if (task->runnable && !task->queued) {
+                      Enqueue(task, /*front=*/true);
+                    }
+                  }
+                });
 
   // 4. Arm the earliest allowance expiry — but only while someone is
   // waiting to rotate in. When only predicted-shorts are running and the

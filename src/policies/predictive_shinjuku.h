@@ -28,7 +28,7 @@
 // corrupt the training signal.
 //
 // SDK consumer: DispatchPolicy hooks + FifoRunqueue lanes + the
-// NextSliceWakeup arming helper. Tier-1 batch threads (Shenango-style) sit
+// GlobalAgent and GroupCommit scaffolding. Tier-1 batch threads (Shenango-style) sit
 // in a third lane below both request lanes and are preempted on demand.
 #ifndef GHOST_SIM_SRC_POLICIES_PREDICTIVE_SHINJUKU_H_
 #define GHOST_SIM_SRC_POLICIES_PREDICTIVE_SHINJUKU_H_
@@ -76,11 +76,11 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   uint64_t scheduled() const { return scheduled_; }
   uint64_t preemptions() const { return preemptions_; }
   uint64_t txn_failures() const { return txn_failures_; }
-  uint64_t hot_handoffs() const { return hot_handoffs_; }
+  uint64_t hot_handoffs() const { return global_.handoffs(); }
   uint64_t predicted_short() const { return predicted_short_; }
   uint64_t predicted_long() const { return predicted_long_; }
   uint64_t backstop_demotions() const { return backstop_demotions_; }
-  int global_cpu() const { return global_cpu_; }
+  int global_cpu() const { return global_.cpu(); }
   size_t queue_depth() const {
     return lanes_[0].size() + lanes_[1].size() + lanes_[2].size();
   }
@@ -88,6 +88,7 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   const predict::ServiceTimePredictor& predictor() const { return predictor_; }
 
  protected:
+  std::optional<AgentAction> PreDrain(AgentContext& ctx) override;
   void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override;
   AgentAction Schedule(AgentContext& ctx) override;
   void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
@@ -96,7 +97,6 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
   void TaskYield(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
   void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
-  void TaskDeparted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
  private:
   // Lanes, in strict dispatch-priority order.
@@ -135,22 +135,17 @@ class PredictiveShinjukuPolicy : public DispatchPolicy {
 
   Options options_;
   Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  int global_cpu_ = -1;
+  GlobalAgent global_;
 
   predict::ServiceTimePredictor predictor_;
   FifoRunqueue lanes_[kNumLanes];
   std::vector<Running> running_;  // dense cpu -> policy belief
   std::map<int64_t, PredTask> states_;
-  // Per-iteration scratch, reused so the steady-state loop never mallocs.
-  std::vector<std::pair<int, PolicyTask*>> assignments_scratch_;
-  std::vector<Transaction> txn_storage_scratch_;
-  std::vector<Transaction*> txn_ptrs_scratch_;
+  GroupCommit batch_;
 
   uint64_t scheduled_ = 0;
   uint64_t preemptions_ = 0;
   uint64_t txn_failures_ = 0;
-  uint64_t hot_handoffs_ = 0;
   uint64_t predicted_short_ = 0;
   uint64_t predicted_long_ = 0;
   uint64_t backstop_demotions_ = 0;

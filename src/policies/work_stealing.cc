@@ -3,143 +3,113 @@
 namespace gs {
 
 void WorkStealingPolicy::Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) {
-  enclave_ = enclave;
-  process_ = process;
-  const CpuMask& cpus = enclave->cpus();
-  boss_cpu_ = cpus.First();
-  for (int cpu = cpus.First(); cpu >= 0; cpu = cpus.NextAfter(cpu)) {
-    CpuSched& cs = cpus_[cpu];
-    cs.queue = enclave->CreateQueue();
-    enclave->ConfigQueueWakeup(cs.queue, process->agent_on(cpu));
-    enclave->SetCpuQueue(cpu, cs.queue);
-    cpu_list_.push_back(cpu);
-  }
-  enclave->ConfigQueueWakeup(enclave->default_queue(), process->agent_on(boss_cpu_));
+  queues_.Attach(process, enclave, kernel);
+  runqueues_.resize(kernel->topology().num_cpus());
 }
 
 void WorkStealingPolicy::Restore(const std::vector<Enclave::TaskInfo>& dump) {
   // Full view replacement (also the overflow-resync path).
-  for (auto& [cpu, sched] : cpus_) {
-    sched.runqueue.Clear();
+  for (FifoRunqueue& rq : runqueues_) {
+    rq.Clear();
   }
-  home_cpu_.clear();
-  table_.Clear();
+  queues_.ClearHomes();
+  table().Clear();
   for (const Enclave::TaskInfo& info : dump) {
-    PolicyTask* task = table_.Add(info.tid);
-    task->tseq = info.tseq;
-    task->affinity = info.affinity;
-    task->runnable = info.runnable;
-    const int home = NextHomeCpu();
-    home_cpu_[info.tid] = home;
-    enclave_->AssociateQueue(info.tid, cpus_[home].queue);
+    PolicyTask* task = AdoptTask(info);
+    const int home = queues_.AssignHome(info.tid);
     if (info.runnable && !info.on_cpu) {
       task->queued = true;
-      cpus_[home].runqueue.Push(task);
+      runqueues_[home].Push(task);
     }
   }
 }
 
 size_t WorkStealingPolicy::QueueDepth(int cpu) const {
-  auto it = cpus_.find(cpu);
-  return it == cpus_.end() ? 0 : it->second.runqueue.size();
+  if (cpu < 0 || cpu >= static_cast<int>(runqueues_.size())) {
+    return 0;
+  }
+  return runqueues_[cpu].size();
 }
 
-int WorkStealingPolicy::NextHomeCpu() {
-  const int cpu = cpu_list_[rr_next_ % cpu_list_.size()];
-  ++rr_next_;
-  return cpu;
+std::optional<AgentAction> WorkStealingPolicy::PreDrain(AgentContext& ctx) {
+  msg_cpu_ = ctx.agent_cpu();
+  aseq_ = ctx.ReadAseq();
+  return std::nullopt;
 }
 
-void WorkStealingPolicy::NotifyAgent(AgentContext& ctx, int cpu) {
-  if (cpu == ctx.agent_cpu()) {
+void WorkStealingPolicy::CollectQueues(AgentContext& ctx,
+                                       std::vector<MessageQueue*>* queues) {
+  queues_.CollectQueues(ctx.agent_cpu(), queues);
+}
+
+void WorkStealingPolicy::TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  ctx.Charge(ctx.kernel()->cost().syscall);
+  const int home = queues_.AssignHome(msg.tid);
+  if (task->runnable && !task->queued) {
+    task->queued = true;
+    runqueues_[home].Push(task);
+    queues_.NotifyAgent(ctx, home);
+  }
+}
+
+void WorkStealingPolicy::EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front) {
+  if (task->queued) {
     return;
   }
-  Task* agent = process_->agent_on(cpu);
-  if (agent == nullptr) {
-    return;
-  }
-  if (agent->state() == TaskState::kBlocked) {
-    ctx.Charge(ctx.kernel()->cost().syscall + ctx.kernel()->cost().agent_wakeup);
-    ctx.kernel()->Wake(agent);
+  const int home = HomeOf(task);
+  task->queued = true;
+  if (front) {
+    runqueues_[home].PushFront(task);
   } else {
-    // The sibling is mid-iteration (or queued to run): flag the push so its
-    // check-then-sleep re-runs instead of blocking over a non-empty runqueue.
-    enclave_->PokeAgent(agent);
+    runqueues_[home].Push(task);
+  }
+  queues_.NotifyAgent(ctx, home);
+}
+
+void WorkStealingPolicy::TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  EnqueueRunnable(ctx, task, /*front=*/false);
+}
+
+void WorkStealingPolicy::TaskPreempted(AgentContext& ctx, PolicyTask* task,
+                                       const Message& msg) {
+  EnqueueRunnable(ctx, task, /*front=*/true);
+}
+
+void WorkStealingPolicy::TaskBlocked(AgentContext& ctx, PolicyTask* task,
+                                     const Message& msg) {
+  if (task->queued) {
+    runqueues_[HomeOf(task)].Remove(task);
+    task->queued = false;
   }
 }
 
-void WorkStealingPolicy::HandleMessage(AgentContext& ctx, int cpu, const Message& msg) {
-  if (msg.type == MessageType::kTimerTick) {
+void WorkStealingPolicy::TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) {
+  if (task->queued) {
+    runqueues_[HomeOf(task)].Remove(task);
+  }
+  queues_.EraseHome(task->tid);
+}
+
+void WorkStealingPolicy::TaskAffinity(AgentContext& ctx, PolicyTask* task,
+                                      const Message& msg) {
+  // sched_setaffinity may have excluded the task's home CPU: re-home it
+  // to an allowed enclave CPU (and move any queued entry along).
+  const int home = HomeOf(task);
+  if (task->affinity.IsSet(home)) {
     return;
   }
-  PolicyTask* task = nullptr;
-  switch (table_.Apply(msg, &task)) {
-    case TaskTable::Event::kNew: {
-      const int home = NextHomeCpu();
-      home_cpu_[msg.tid] = home;
-      ctx.Charge(ctx.kernel()->cost().syscall);
-      enclave_->AssociateQueue(msg.tid, cpus_[home].queue);
-      if (task->runnable && !task->queued) {
-        task->queued = true;
-        cpus_[home].runqueue.Push(task);
-        NotifyAgent(ctx, home);
-      }
-      break;
-    }
-    case TaskTable::Event::kRunnable: {
-      const int home = home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu;
-      if (!task->queued) {
-        task->queued = true;
-        if (msg.type == MessageType::kTaskPreempted) {
-          cpus_[home].runqueue.PushFront(task);
-        } else {
-          cpus_[home].runqueue.Push(task);
-        }
-        NotifyAgent(ctx, home);
-      }
-      break;
-    }
-    case TaskTable::Event::kBlocked:
-      if (task->queued) {
-        cpus_[home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu].runqueue.Remove(task);
-        task->queued = false;
-      }
-      break;
-    case TaskTable::Event::kDead:
-      if (task->queued) {
-        cpus_[home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu].runqueue.Remove(task);
-      }
-      home_cpu_.erase(msg.tid);
-      table_.Remove(msg.tid);
-      break;
-    case TaskTable::Event::kAffinity: {
-      // sched_setaffinity may have excluded the task's home CPU: re-home it
-      // to an allowed enclave CPU (and move any queued entry along).
-      const int home = home_cpu_.count(msg.tid) > 0 ? home_cpu_[msg.tid] : cpu;
-      if (!task->affinity.IsSet(home)) {
-        int new_home = -1;
-        for (int candidate : cpu_list_) {
-          if (task->affinity.IsSet(candidate)) {
-            new_home = candidate;
-            break;
-          }
-        }
-        if (new_home >= 0) {
-          if (task->queued) {
-            cpus_[home].runqueue.Remove(task);
-            cpus_[new_home].runqueue.Push(task);
-          }
-          home_cpu_[msg.tid] = new_home;
-          ctx.Charge(ctx.kernel()->cost().syscall);
-          enclave_->AssociateQueue(msg.tid, cpus_[new_home].queue);
-          NotifyAgent(ctx, new_home);
-        }
-      }
-      break;
-    }
-    case TaskTable::Event::kNone:
-      break;
+  const int new_home = queues_.FirstAllowed(task->affinity, -1);
+  if (new_home < 0) {
+    return;
   }
+  if (task->queued) {
+    runqueues_[home].Remove(task);
+    runqueues_[new_home].Push(task);
+  }
+  queues_.SetHome(task->tid, new_home);
+  ctx.Charge(ctx.kernel()->cost().syscall);
+  queues_.Route(task->tid, new_home);
+  queues_.NotifyAgent(ctx, new_home);
 }
 
 PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
@@ -147,37 +117,38 @@ PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
   // sibling queues is a plain memory access).
   int victim_cpu = -1;
   size_t deepest = 0;
-  for (auto& [cpu, cs] : cpus_) {
-    if (cpu != thief_cpu && cs.runqueue.size() > deepest) {
-      deepest = cs.runqueue.size();
+  for (int cpu : queues_.cpus()) {
+    if (cpu != thief_cpu && runqueues_[cpu].size() > deepest) {
+      deepest = runqueues_[cpu].size();
       victim_cpu = cpu;
     }
   }
   if (victim_cpu < 0) {
     return nullptr;
   }
-  CpuSched& victim = cpus_[victim_cpu];
+  FifoRunqueue& victim = runqueues_[victim_cpu];
   // Snapshot: the drain in the retry path may mutate the victim runqueue.
-  const std::vector<PolicyTask*> candidates(victim.runqueue.raw().begin(),
-                                            victim.runqueue.raw().end());
+  const std::vector<PolicyTask*> candidates(victim.raw().begin(), victim.raw().end());
   for (PolicyTask* candidate : candidates) {
     if (!candidate->queued || !candidate->affinity.IsSet(thief_cpu)) {
       continue;
     }
     // §3.1 protocol: move the thread's message routing to the thief's queue.
     // The association fails while messages for the thread sit undrained in
-    // the victim queue; drain it (messages are applied as usual — the victim
-    // agent will see an empty queue) and retry once.
+    // the victim queue; drain it (messages are dispatched as usual — the
+    // victim agent will see an empty queue) and retry once.
     ctx.Charge(ctx.kernel()->cost().syscall);
-    if (!enclave_->AssociateQueue(candidate->tid, cpus_[thief_cpu].queue)) {
+    if (!queues_.Route(candidate->tid, thief_cpu)) {
       ++association_retries_;
       std::vector<Message> drained;
-      ctx.Drain(victim.queue, &drained);
+      ctx.Drain(queues_.queue(victim_cpu), &drained);
+      msg_cpu_ = victim_cpu;
       for (const Message& msg : drained) {
-        HandleMessage(ctx, victim_cpu, msg);
+        Dispatch(ctx, msg);
       }
+      msg_cpu_ = thief_cpu;
       ctx.Charge(ctx.kernel()->cost().syscall);
-      if (!enclave_->AssociateQueue(candidate->tid, cpus_[thief_cpu].queue)) {
+      if (!queues_.Route(candidate->tid, thief_cpu)) {
         continue;
       }
       // Draining may have dequeued the candidate (it blocked/died).
@@ -185,29 +156,17 @@ PolicyTask* WorkStealingPolicy::TrySteal(AgentContext& ctx, int thief_cpu) {
         continue;
       }
     }
-    victim.runqueue.Remove(candidate);
-    home_cpu_[candidate->tid] = thief_cpu;
+    victim.Remove(candidate);
+    queues_.SetHome(candidate->tid, thief_cpu);
     ++steals_;
     return candidate;  // caller runs it (still marked queued until dispatch)
   }
   return nullptr;
 }
 
-AgentAction WorkStealingPolicy::RunAgent(AgentContext& ctx) {
+AgentAction WorkStealingPolicy::Schedule(AgentContext& ctx) {
   const int cpu = ctx.agent_cpu();
-  CpuSched& cs = cpus_[cpu];
-  const uint32_t aseq = ctx.ReadAseq();
-
-  scratch_msgs_.clear();
-  if (cpu == boss_cpu_) {
-    ctx.Drain(enclave_->default_queue(), &scratch_msgs_);
-  }
-  ctx.Drain(cs.queue, &scratch_msgs_);
-  for (const Message& msg : scratch_msgs_) {
-    HandleMessage(ctx, cpu, msg);
-  }
-
-  PolicyTask* next = cs.runqueue.Pop();
+  PolicyTask* next = runqueues_[cpu].Pop();
   if (next == nullptr) {
     next = TrySteal(ctx, cpu);
   }
@@ -217,7 +176,7 @@ AgentAction WorkStealingPolicy::RunAgent(AgentContext& ctx) {
   next->queued = false;
 
   Transaction txn = AgentContext::MakeTxn(next->tid, cpu);
-  txn.expected_aseq = aseq;
+  txn.expected_aseq = aseq_;
   Transaction* ptr = &txn;
   ctx.Commit(ptr);
   if (txn.committed()) {
@@ -229,18 +188,12 @@ AgentAction WorkStealingPolicy::RunAgent(AgentContext& ctx) {
   if (next->runnable) {
     next->queued = true;
     if (!next->affinity.IsSet(cpu)) {
-      int new_home = cpu;
-      for (int candidate : cpu_list_) {
-        if (next->affinity.IsSet(candidate)) {
-          new_home = candidate;
-          break;
-        }
-      }
-      home_cpu_[next->tid] = new_home;
-      cpus_[new_home].runqueue.Push(next);
-      NotifyAgent(ctx, new_home);
+      const int new_home = queues_.FirstAllowed(next->affinity, cpu);
+      queues_.SetHome(next->tid, new_home);
+      runqueues_[new_home].Push(next);
+      queues_.NotifyAgent(ctx, new_home);
     } else {
-      cs.runqueue.Push(next);
+      runqueues_[cpu].Push(next);
     }
   }
   return AgentAction::kRunAgain;

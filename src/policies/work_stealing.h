@@ -17,23 +17,17 @@
 #ifndef GHOST_SIM_SRC_POLICIES_WORK_STEALING_H_
 #define GHOST_SIM_SRC_POLICIES_WORK_STEALING_H_
 
-#include <map>
 #include <vector>
 
-#include "src/agent/agent_context.h"
-#include "src/agent/agent_process.h"
-#include "src/agent/policy.h"
-#include "src/agent/sdk/runqueue.h"
-#include "src/agent/task_table.h"
+#include "src/agent/sdk/sdk.h"
 
 namespace gs {
 
-class WorkStealingPolicy : public Policy {
+class WorkStealingPolicy : public DispatchPolicy {
  public:
   const char* name() const override { return "work-stealing"; }
   void Attached(AgentProcess* process, Enclave* enclave, Kernel* kernel) override;
   void Restore(const std::vector<Enclave::TaskInfo>& dump) override;
-  AgentAction RunAgent(AgentContext& ctx) override;
 
   uint64_t scheduled() const { return scheduled_; }
   uint64_t steals() const { return steals_; }
@@ -41,35 +35,39 @@ class WorkStealingPolicy : public Policy {
   size_t QueueDepth(int cpu) const;
   int RunqueueDepth() const override {
     int total = 0;
-    for (const auto& [cpu, sched] : cpus_) {
-      total += static_cast<int>(sched.runqueue.size());
+    for (const FifoRunqueue& rq : runqueues_) {
+      total += static_cast<int>(rq.size());
     }
     return total;
   }
 
- private:
-  struct CpuSched {
-    MessageQueue* queue = nullptr;
-    FifoRunqueue runqueue;
-  };
+ protected:
+  std::optional<AgentAction> PreDrain(AgentContext& ctx) override;
+  void CollectQueues(AgentContext& ctx, std::vector<MessageQueue*>* queues) override;
+  AgentAction Schedule(AgentContext& ctx) override;
+  void TaskNew(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskWakeup(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskPreempted(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskBlocked(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskDead(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
+  void TaskAffinity(AgentContext& ctx, PolicyTask* task, const Message& msg) override;
 
-  void HandleMessage(AgentContext& ctx, int cpu, const Message& msg);
-  void NotifyAgent(AgentContext& ctx, int cpu);
-  int NextHomeCpu();
+ private:
+  // Home of a task, falling back to the CPU whose queue is being dispatched.
+  int HomeOf(const PolicyTask* task) const { return queues_.HomeOf(task->tid, msg_cpu_); }
+  void EnqueueRunnable(AgentContext& ctx, PolicyTask* task, bool front);
   // Steals the longest-waiting thread from the deepest sibling runqueue into
   // `thief_cpu`'s, re-associating its message queue per §3.1. Returns the
   // stolen task or nullptr.
   PolicyTask* TrySteal(AgentContext& ctx, int thief_cpu);
 
-  Enclave* enclave_ = nullptr;
-  AgentProcess* process_ = nullptr;
-  TaskTable table_;
-  std::map<int, CpuSched> cpus_;
-  std::map<int64_t, int> home_cpu_;
-  std::vector<int> cpu_list_;
-  size_t rr_next_ = 0;
-  int boss_cpu_ = -1;
-  std::vector<Message> scratch_msgs_;
+  PerCpuQueues queues_;
+  std::vector<FifoRunqueue> runqueues_;  // dense cpu -> runqueue
+  // CPU whose queue the hooks are dispatching: the agent's own, or the
+  // victim's during a steal's drain.
+  int msg_cpu_ = -1;
+  // Read before the drain; tags this iteration's local commit.
+  uint32_t aseq_ = 0;
 
   uint64_t scheduled_ = 0;
   uint64_t steals_ = 0;

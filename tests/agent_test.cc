@@ -41,6 +41,16 @@ class AgentTest : public ::testing::Test {
   std::unique_ptr<AgentProcess> process_;
 };
 
+// Agents are runnable from Start() until their first iteration; tearing the
+// process down in that window must not abort.
+TEST_F(AgentTest, DestroyBeforeTheLoopRunsIsClean) {
+  Build(2, std::make_unique<PerCpuFifoPolicy>());
+  Task* agent = process_->agent_on(0);
+  ASSERT_EQ(agent->state(), TaskState::kRunnable);
+  process_.reset();
+  EXPECT_EQ(agent->state(), TaskState::kDead);
+}
+
 TEST_F(AgentTest, PerCpuFifoRunsTasksToCompletion) {
   Build(2, std::make_unique<PerCpuFifoPolicy>());
   std::vector<Task*> tasks;

@@ -6,12 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "src/verify/explorer.h"
 #include "src/verify/explorer_scenarios.h"
 
 namespace gs {
+
+// Names each parameterized case by its scenario; gtest would otherwise print
+// the struct's raw bytes (pointers that change with every build) into the
+// CTest names.
+void PrintTo(const ExplorerScenarioInfo& info, std::ostream* os) { *os << info.name; }
+
 namespace {
 
 Explorer::Options BoundedDfs() {

@@ -358,6 +358,11 @@ TEST(ClusterTest, ResultIsByteIdenticalSerialVsJobs) {
   }
 }
 
+TEST(ClusterTest, DestroyWithoutRunIsClean) {
+  fleet::Cluster cluster(ParseSpec(kFleetSpec), nullptr, /*jobs=*/1);
+  EXPECT_EQ(cluster.num_machines(), 4);
+}
+
 // The epoch count is a hardware-free work count: the spec alone fixes it.
 // Link events cut the run into segments of ceil(segment / 50 us) epochs each.
 // kFleetSpec runs 17 ms uncut: 340 epochs. Cuts at 4.01 and 4.5 ms give

@@ -8,6 +8,9 @@
 #include "src/base/rng.h"
 #include "src/policies/centralized_fifo.h"
 #include "src/policies/per_cpu_fifo.h"
+#include "src/policies/search.h"
+#include "src/policies/vm_core_sched.h"
+#include "src/policies/work_stealing.h"
 #include "src/sim/simulation.h"
 #include "tests/test_util.h"
 
@@ -140,23 +143,42 @@ TEST(FastPathIntegrationTest, PolicyPublishesAndIdleCpusConsume) {
       << "idle CPUs should serve wakeups from the ring while the agent crawls";
 }
 
-// Determinism across the full stack, parameterized by policy shape.
+// Determinism across the full stack, parameterized by policy shape: 0
+// per-CPU FIFO, 1 centralized FIFO, 2 centralized FIFO with a 30 us slice,
+// 3 work stealing, 4 search, 5 secure-VM core scheduling. Besides repeating
+// itself, each run must reproduce the schedule digest recorded for its
+// policy, so a refactor that moves any decision fails here.
 class DeterminismTest : public ::testing::TestWithParam<int> {};
+
+std::unique_ptr<Policy> DeterminismPolicy(int kind) {
+  switch (kind) {
+    case 0:
+      return std::make_unique<PerCpuFifoPolicy>();
+    case 3:
+      return std::make_unique<WorkStealingPolicy>();
+    case 4:
+      return std::make_unique<SearchPolicy>();
+    case 5: {
+      VmCoreSchedPolicy::Options options;
+      options.cookie_of = [](int64_t tid) { return tid % 3 + 1; };
+      options.slice = Microseconds(500);
+      return std::make_unique<VmCoreSchedPolicy>(options);
+    }
+    default: {
+      CentralizedFifoPolicy::Options options;
+      options.preemption_timeslice = kind == 2 ? Microseconds(30) : 0;
+      return std::make_unique<CentralizedFifoPolicy>(options);
+    }
+  }
+}
 
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
   auto run = [&] {
     Workers workers;
     SimulationContext m({.topology = Topology::Make("t", 1, 4, 2, 4)});
     auto enclave = m.CreateEnclave(m.kernel().topology().AllCpus());
-    std::unique_ptr<Policy> policy;
-    if (GetParam() == 0) {
-      policy = std::make_unique<PerCpuFifoPolicy>();
-    } else {
-      CentralizedFifoPolicy::Options options;
-      options.preemption_timeslice = GetParam() == 2 ? Microseconds(30) : 0;
-      policy = std::make_unique<CentralizedFifoPolicy>(options);
-    }
-    AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(), std::move(policy));
+    AgentProcess agents(&m.kernel(), m.ghost_class(), enclave.get(),
+                        DeterminismPolicy(GetParam()));
     agents.Start();
     Rng rng(99);
     std::vector<Task*> tasks;
@@ -176,10 +198,19 @@ TEST_P(DeterminismTest, IdenticalSeedsIdenticalTraces) {
     trace.push_back(static_cast<int64_t>(enclave->txns_committed()));
     return trace;
   };
-  EXPECT_EQ(run(), run());
+  const std::vector<int64_t> trace = run();
+  EXPECT_EQ(trace, run());
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over the trace words
+  for (int64_t word : trace) {
+    digest = (digest ^ static_cast<uint64_t>(word)) * 1099511628211ull;
+  }
+  constexpr uint64_t kRecorded[] = {4620566813956051090ull, 9977082146813562609ull,
+                                    6357058686736097946ull, 5202169349816788245ull,
+                                    12643877182564343513ull, 16099380387680298550ull};
+  EXPECT_EQ(digest, kRecorded[GetParam()]) << "schedule moved for policy shape " << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, DeterminismTest, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(Policies, DeterminismTest, ::testing::Values(0, 1, 2, 3, 4, 5));
 
 // Conservation sweep: under any of the stock policies, no work is lost.
 class ConservationTest : public ::testing::TestWithParam<int> {};
